@@ -4,11 +4,10 @@ PR 5 turned static analysis on the *rules* users hand us (DD001–DD009);
 this package turns the same machinery on the codebase itself.  The
 system's correctness rests on cross-cutting invariants no unit test can
 pin exhaustively — every kernel candidate loop reaches a budget
-``checkpoint()``, kernels never touch a ``Relation``, shared-memory
-segments are released on every path, lock acquisition stays acyclic,
-only picklable module-level work crosses the fork boundary, the WAL
-append dominates the ack, async handlers never block the loop, and
-broad exception handlers never swallow ``BudgetExhausted``.  Each is an
+``checkpoint()``, kernels never touch a ``Relation``, lock acquisition
+stays acyclic, the WAL append dominates the ack, async handlers never
+block the loop, and broad exception handlers never swallow
+``BudgetExhausted``.  Each is an
 AST pass (stdlib ``ast``, no dependencies) emitting stable ``SC0xx``
 findings; ``# staticcheck: disable=SC0xx — reason`` comments waive a
 finding with a mandatory written reason.  The CI gate runs

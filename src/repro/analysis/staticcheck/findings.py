@@ -3,9 +3,11 @@
 PR 5's ``DD0xx`` codes lint the *rules* the user hands us; the ``SC0xx``
 codes lint the *codebase itself* — the cross-cutting invariants the
 concurrent system rests on (budget checkpoints, engine neutrality,
-shared-memory lifecycle, lock ordering, fork safety, WAL-before-ack,
-async hygiene, exception discipline).  Codes are stable and must never
-be renumbered; the catalog lives in ``docs/staticcheck.md``:
+lock ordering, WAL-before-ack, async hygiene, exception discipline).
+Codes are stable and must never be renumbered or reused; SC003
+(shared-memory lifecycle) and SC005 (fork safety) were retired with
+the sharded process-pool executor they checked.  The catalog lives in
+``docs/staticcheck.md``:
 
 ===== ========================== ========
 code  name                       severity
@@ -13,9 +15,7 @@ code  name                       severity
 SC000 bad-suppression            error
 SC001 missing-checkpoint         error
 SC002 engine-neutrality          error
-SC003 leaked-shared-memory       error
 SC004 lock-order                 error
-SC005 fork-safety                error
 SC006 ack-before-wal             error
 SC007 blocking-in-async          error
 SC008 swallowed-exception        error
@@ -62,20 +62,10 @@ ENGINE_NEUTRALITY = CheckCode(
     "a kernel module references the Relation substrate it must stay "
     "neutral of",
 )
-LEAKED_SHARED_MEMORY = CheckCode(
-    "SC003", "leaked-shared-memory", Severity.ERROR,
-    "a shared-memory handle is created on a path that can exit without "
-    "releasing it",
-)
 LOCK_ORDER = CheckCode(
     "SC004", "lock-order", Severity.ERROR,
     "lock acquisition order admits a cycle, or a lock is held across "
     "an await point",
-)
-FORK_SAFETY = CheckCode(
-    "SC005", "fork-safety", Severity.ERROR,
-    "process-pool usage that breaks under fork: non-module-level "
-    "submit target or pool creation off the main thread",
 )
 ACK_BEFORE_WAL = CheckCode(
     "SC006", "ack-before-wal", Severity.ERROR,
@@ -100,9 +90,7 @@ SC_CODES: dict[str, CheckCode] = {
         BAD_SUPPRESSION,
         MISSING_CHECKPOINT,
         ENGINE_NEUTRALITY,
-        LEAKED_SHARED_MEMORY,
         LOCK_ORDER,
-        FORK_SAFETY,
         ACK_BEFORE_WAL,
         BLOCKING_IN_ASYNC,
         SWALLOWED_EXCEPTION,

@@ -6,11 +6,11 @@ budget ``checkpoint()``: either the loop (transitively) calls
 straight to the consumer (which charges per item) on every iteration.
 A loop whose yields are *guarded* (nested under an ``if``/``try``
 between the yield and its loop) can examine unboundedly many
-candidates while yielding none, so deadlines and cross-process
-cancellation never bite; those loops must poll the budget themselves.
+candidates while yielding none, so deadlines and pair caps never
+bite; those loops must poll the budget themselves.
 
 SC002 — kernel modules are engine-neutral: they consume
-:class:`~repro.plan.slabs.ExecutionContext` column slabs and bare row
+:class:`~repro.plan.slabs.ExecutionContext` column views and bare row
 indices, never the ``Relation`` substrate.  This promotes the original
 grep-style source pin ("the word relation never appears") to a real
 pass over imports and identifiers.
@@ -149,7 +149,7 @@ class BudgetCheckpointPass(CheckPass):
         yield make_finding(
             MISSING_CHECKPOINT, module.path, loop.lineno,
             f"loop {what} but no checkpoint() dominates its iterations; "
-            "budget deadlines and shard cancellation cannot interrupt it",
+            "budget deadlines and pair caps cannot interrupt it",
             context=module.context_of(loop),
         )
 

@@ -259,7 +259,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
     remaining = len(detector.violations())
     print(
-        f"done: {len(detector.history)} batches, "
+        f"done: {detector.batches} batches, "
         f"{len(detector.relation)} rows, {remaining} violations remaining"
     )
     if partial:
@@ -393,8 +393,6 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     from .plan import PlanCompileError, compile_dependency, kernel_backend_mode
-    from .relation.encoding import HAS_NUMPY
-
     from .rules_io import RuleFileError, load_rules
 
     try:
@@ -402,9 +400,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except RuleFileError as exc:
         print(f"[error] {exc}")
         return 2
-    mode = kernel_backend_mode()
-    substrate = "numpy" if HAS_NUMPY else "no numpy (scalar only)"
-    print(f"kernel backend: {mode} [{substrate}]")
+    print(f"kernel backend: {kernel_backend_mode()}")
     exit_code = 0
     for dep in rules:
         try:
@@ -440,14 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="cap on candidate checks across the run",
         )
 
-    def add_workers_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="processes for sharded pairwise checking (default: "
-            "REPRO_WORKERS env, else serial); results are "
-            "order-identical to serial execution",
-        )
-
     p_profile = sub.add_parser(
         "profile", aliases=["discover"],
         help="discover dependencies in a CSV",
@@ -466,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--text", action="append", default=[],
                            help="force a column textual")
     add_budget_args(p_profile)
-    add_workers_arg(p_profile)
     p_profile.set_defaults(func=cmd_profile)
 
     p_check = sub.add_parser("check", help="validate declared dependencies")
@@ -490,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "unsatisfiable-rule gate)",
     )
     add_budget_args(p_check)
-    add_workers_arg(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_watch = sub.add_parser(
@@ -571,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON rule file with mixed Table-2 notations "
         "(see docs/api.md)",
     )
-    add_workers_arg(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_serve = sub.add_parser(
@@ -589,8 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=4,
-        help="engine/job worker threads (default 4); also seeds the "
-        "sharded checking process pool for large relations",
+        help="engine and background-job thread pool size (default 4)",
     )
     p_serve.add_argument(
         "--log-level", default="info", dest="log_level",
@@ -642,15 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        from .plan import set_workers, warm_pool
-
-        set_workers(workers)
-        if workers > 1:
-            # Fork the process pool up front, while we are still on the
-            # main thread and before any server/job threads exist.
-            warm_pool(workers)
     try:
         return args.func(args)
     except ReproError as exc:

@@ -55,18 +55,10 @@ from .kernels import (
     COUNTERS,
     KernelCounters,
     execute_pairs,
-    execute_pairs_keyed,
     execute_rows,
     strategy_hint,
 )
-from .parallel import (
-    resolve_workers,
-    set_workers,
-    warm_pool,
-    workers,
-    workers_mode,
-)
-from .slabs import ColumnSlabs, ExecutionContext, context_for
+from .slabs import ExecutionContext, context_for
 
 __all__ = [
     "ALPHA",
@@ -96,19 +88,12 @@ __all__ = [
     "build_verify",
     "denial_violations",
     "execute_pairs",
-    "execute_pairs_keyed",
     "execute_rows",
     "guard_pairs",
     "guard_plan_for",
     "pairwise_violations",
     "plan_for",
     "strategy_hint",
-    "ColumnSlabs",
     "ExecutionContext",
     "context_for",
-    "resolve_workers",
-    "set_workers",
-    "warm_pool",
-    "workers",
-    "workers_mode",
 ]

@@ -9,15 +9,12 @@ between the notations and that engine:
 * :func:`plan_for` / :func:`guard_plan_for` — per-dependency compiled
   plan caches (compile → simplify, instance-cached on the dependency);
 * :func:`build_verify` — the three verify-closure shapes ("pair",
-  "denial", "guard") shared by the serial executor *and* the worker
-  processes of :mod:`repro.plan.parallel`, so both paths re-check
-  candidates with literally the same code;
+  "denial", "guard") that re-check candidates with the notation's own
+  definitional predicate;
 * :func:`pairwise_violations` / :func:`denial_violations` /
   :func:`guard_pairs` — the calls the detection, incremental and
-  discovery engines make.  Each accepts ``workers=`` and consults the
-  ambient ``REPRO_WORKERS`` mode; eligible executions (pair plans, not
-  ``first_only``) fan out through the sharded parallel executor and
-  fall back to the identical serial path whenever the fan-out declines.
+  discovery engines make, each one serial pass of the compiled plan
+  over the snapshot's execution context.
 """
 
 from __future__ import annotations
@@ -79,10 +76,8 @@ def build_verify(
     """The verify closure for one execution mode, bound to ``source``.
 
     The notation's own definitional predicate stays the single source
-    of truth for what a violation/match *is*; the closure shapes are
-    shared between the serial executor and the shard workers (which
-    rebuild them around the snapshot reconstructed from the slabs), so
-    both report identical keys and payloads.
+    of truth for what a violation/match *is*; the closure returns the
+    ``(sort_key, payload)`` hit the executor orders results by.
     """
     if mode == "pair":
         from ..core.violation import Violation
@@ -129,42 +124,12 @@ def build_verify(
     raise ValueError(f"unknown verify mode {mode!r}")
 
 
-def _try_parallel(
-    dep: Any,
-    source: Any,
-    plan: Plan,
-    mode: str,
-    extra: Any,
-    restrict: "set[int] | None",
-    first_only: bool,
-    workers: "int | None",
-) -> "list[Any] | None":
-    """Route to the sharded executor when eligible; ``None`` = serial.
-
-    ``first_only`` stays serial: its contract is "the first verified
-    hit in candidate order", which a fan-out would have to run to
-    completion to reproduce — the serial short-circuit is the faster
-    engine by construction.
-    """
-    if first_only or plan.arity != 2 or plan.never:
-        return None
-    from .parallel import execute_parallel, resolve_workers
-
-    w = resolve_workers(workers, len(source))
-    if w <= 1:
-        return None
-    return execute_parallel(
-        dep, source, mode=mode, extra=extra, restrict=restrict, workers=w
-    )
-
-
 def pairwise_violations(
     dep: Any,
     source: Any,
     *,
     restrict: "set[int] | None" = None,
     first_only: bool = False,
-    workers: "int | None" = None,
 ) -> list[Any]:
     """Violations of a pairwise notation via its compiled plan.
 
@@ -173,11 +138,6 @@ def pairwise_violations(
     pairs are worth asking about.
     """
     plan = plan_for(dep)
-    out = _try_parallel(
-        dep, source, plan, "pair", None, restrict, first_only, workers
-    )
-    if out is not None:
-        return out
     verify = build_verify("pair", dep, source)
     return execute_pairs(
         plan, context_for(source), verify, restrict=restrict,
@@ -191,7 +151,6 @@ def denial_violations(
     *,
     restrict: "set[int] | None" = None,
     first_only: bool = False,
-    workers: "int | None" = None,
 ) -> list[Any]:
     """Violations of a DC via its compiled plan (ordered semantics).
 
@@ -215,11 +174,6 @@ def denial_violations(
             plan, context_for(source), verify_row, restrict=restrict,
             first_only=first_only,
         )
-    out = _try_parallel(
-        dep, source, plan, "denial", None, restrict, first_only, workers
-    )
-    if out is not None:
-        return out
     verify = build_verify("denial", dep, source)
     return execute_pairs(
         plan, context_for(source), verify, restrict=restrict,
@@ -231,8 +185,6 @@ def guard_pairs(
     dep: Any,
     source: Any,
     verify_pair: Callable[..., bool],
-    *,
-    workers: "int | None" = None,
 ) -> list[tuple[int, int]]:
     """All pairs selected by a notation's LHS (its guard atoms).
 
@@ -241,10 +193,5 @@ def guard_pairs(
     ``verify_pair`` is the definitional LHS test.
     """
     plan = guard_plan_for(dep)
-    out = _try_parallel(
-        dep, source, plan, "guard", verify_pair, None, False, workers
-    )
-    if out is not None:
-        return out
     verify = build_verify("guard", dep, source, verify_pair)
     return execute_pairs(plan, context_for(source), verify)

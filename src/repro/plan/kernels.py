@@ -9,7 +9,7 @@ changes semantics: results are exactly the legacy results, obtained by
 examining far fewer pairs.
 
 Kernels are **engine-neutral**: they consume an
-:class:`~repro.plan.slabs.ExecutionContext` (an immutable column-slab
+:class:`~repro.plan.slabs.ExecutionContext` (an immutable column
 view of one snapshot) plus a :class:`~repro.plan.ir.Plan` — never a
 live substrate handle.  ``verify`` receives bare row indices
 ``(p, q)``; whatever it needs to re-check a pair is closed over by the
@@ -37,18 +37,10 @@ Each strategy additionally has a *vectorized* twin in
 numpy operations over the encoded columns (strategy names prefixed
 ``vec-``).  ``execute_pairs``/``execute_rows`` route per plan and
 context: the vectorized backend is chosen when the
-``REPRO_KERNEL_BACKEND`` mode allows it, numpy and the encoding layer
-are available, every atom is vectorizable, and the snapshot is large
+``REPRO_KERNEL_BACKEND`` mode allows it, the encoding layer is
+enabled, every atom is vectorizable, and the snapshot is large
 enough to amortize array setup — otherwise the scalar kernels below
 run unchanged.
-
-Every candidate generator accepts a ``shard=(k, m)`` selector that
-keeps only the candidates whose *owner index* (partition group, metric
-bucket, sweep position, scan anchor, streamed block) is congruent to
-``k`` mod ``m``.  Shards of the same execution partition the candidate
-space exactly — the union over ``k`` is the unsharded candidate set,
-pair for pair — which is what lets :mod:`repro.plan.parallel` fan one
-execution out across worker processes and merge deterministically.
 
 All kernels charge examined pairs to the ambient
 :func:`repro.runtime.checkpoint` in batches, so ``max_pairs`` caps and
@@ -67,7 +59,7 @@ from typing import Any
 
 from ..runtime import checkpoint
 from .ir import ORDER_OPS, CmpAtom, MetricAtom, Plan, kernel_backend_mode
-from .slabs import HAS_NUMPY, ExecutionContext, encoded_enabled
+from .slabs import ExecutionContext, encoded_enabled
 
 #: Pairs charged to the budget per checkpoint call.
 _BATCH = 256
@@ -78,14 +70,6 @@ _VEC_MIN_ROWS = 256
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
-#: ``(k, m)`` shard selector — keep owner indices ≡ k (mod m) — or
-#: ``None`` for the whole candidate space.
-Shard = "tuple[int, int] | None"
-
-
-def _owned(shard: tuple[int, int] | None, index: int) -> bool:
-    return shard is None or index % shard[1] == shard[0]
-
 
 @dataclass
 class KernelCounters:
@@ -95,14 +79,6 @@ class KernelCounters:
     ``vec-`` (``vec-group``, ``vec-sweep``, ...) plus the number of
     streamed index chunks, while scalar executions keep the bare
     strategy names — :meth:`backends` aggregates either way.
-
-    Process-composable: counters survive process boundaries via
-    :meth:`snapshot` deltas (:meth:`diff`) folded back with
-    :meth:`merge` — the parallel executor snapshots per worker, ships
-    the delta home, and merges it into the parent's counters, so
-    parent totals always equal the sum of worker totals (pinned by
-    ``tests/test_parallel.py``).  Pickling drops the lock and restores
-    a fresh one on load.
 
     Thread-safety: the scalar fields are plain increments (atomic
     enough under the GIL for monitoring purposes), but the per-strategy
@@ -165,50 +141,6 @@ class KernelCounters:
             )
         return out
 
-    def diff(self, earlier: "KernelCounters") -> "KernelCounters":
-        """The work recorded since an ``earlier`` snapshot.
-
-        Composable with :meth:`merge`: ``earlier.merge(self.diff(earlier))``
-        reproduces ``self`` field for field.  Call on detached
-        snapshots (both operands are read without locking).
-        """
-
-        def delta(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-            return {
-                k: a.get(k, 0) - b.get(k, 0)
-                for k in a.keys() | b.keys()
-                if a.get(k, 0) != b.get(k, 0)
-            }
-
-        return KernelCounters(
-            executions=self.executions - earlier.executions,
-            pairs_examined=self.pairs_examined - earlier.pairs_examined,
-            pairs_total=self.pairs_total - earlier.pairs_total,
-            chunks=self.chunks - earlier.chunks,
-            by_strategy=delta(self.by_strategy, earlier.by_strategy),
-            candidates_by_strategy=delta(
-                self.candidates_by_strategy, earlier.candidates_by_strategy
-            ),
-            verified_by_strategy=delta(
-                self.verified_by_strategy, earlier.verified_by_strategy
-            ),
-        )
-
-    def merge(self, other: "KernelCounters") -> None:
-        """Fold a detached counter delta (e.g. a worker's) into this one."""
-        with self._lock:
-            self.executions += other.executions
-            self.pairs_examined += other.pairs_examined
-            self.pairs_total += other.pairs_total
-            self.chunks += other.chunks
-            for src, dst in (
-                (other.by_strategy, self.by_strategy),
-                (other.candidates_by_strategy, self.candidates_by_strategy),
-                (other.verified_by_strategy, self.verified_by_strategy),
-            ):
-                for k, v in src.items():
-                    dst[k] = dst.get(k, 0) + v
-
     def backends(self) -> dict[str, int]:
         """Execution counts aggregated to ``scalar`` / ``vectorized``."""
         out: dict[str, int] = {}
@@ -237,22 +169,6 @@ class KernelCounters:
         if self.pairs_total <= 0:
             return 0.0
         return 1.0 - min(1.0, max(0, self.pairs_examined) / self.pairs_total)
-
-    def __getstate__(self) -> dict[str, Any]:
-        snap = self.snapshot()
-        return {
-            "executions": snap.executions,
-            "pairs_examined": snap.pairs_examined,
-            "pairs_total": snap.pairs_total,
-            "chunks": snap.chunks,
-            "by_strategy": snap.by_strategy,
-            "candidates_by_strategy": snap.candidates_by_strategy,
-            "verified_by_strategy": snap.verified_by_strategy,
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 COUNTERS = KernelCounters()
@@ -432,20 +348,14 @@ def strategy_hint(plan: Plan) -> str:
 
 
 def _iter_scan_pairs(
-    n: int,
-    restrict: set[int] | None,
-    shard: tuple[int, int] | None = None,
+    n: int, restrict: set[int] | None
 ) -> Iterator[tuple[int, int]]:
     if restrict is None:
         for i in range(n):
-            if not _owned(shard, i):
-                continue
             for j in range(i + 1, n):
                 yield i, j
         return
-    for k, t in enumerate(sorted(restrict)):
-        if not _owned(shard, k):
-            continue
+    for t in sorted(restrict):
         for u in range(n):
             if u == t or (u in restrict and u < t):
                 continue
@@ -456,16 +366,15 @@ def _iter_group_pairs(
     ctx: ExecutionContext,
     attrs: tuple[str, ...],
     restrict: set[int] | None,
-    shard: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, int]]:
     try:
         groups = ctx.group_rows(attrs)
     except TypeError:
         # Unhashable values can't be partitioned; scan instead.
-        yield from _iter_scan_pairs(ctx.n, restrict, shard)
+        yield from _iter_scan_pairs(ctx.n, restrict)
         return
-    for g, indices in enumerate(groups):
-        if len(indices) < 2 or not _owned(shard, g):
+    for indices in groups:
+        if len(indices) < 2:
             continue
         if restrict is not None and restrict.isdisjoint(indices):
             continue
@@ -482,7 +391,6 @@ def _iter_metric_pairs(
     ctx: ExecutionContext,
     atom: MetricAtom,
     restrict: set[int] | None,
-    shard: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, int]]:
     n = ctx.n
     col = ctx.column(atom.attribute)
@@ -535,11 +443,9 @@ def _iter_metric_pairs(
             low, high = 0.0, iv.high
         since_poll = 0
         for idx, (u, rows_u) in enumerate(reps):
-            if not _owned(shard, idx):
-                continue
             # Buckets whose window is empty yield nothing, so the
             # consumer never charges them; poll the budget directly so
-            # deadlines and shard cancellation still bite.
+            # deadlines still bite.
             since_poll += 1
             if since_poll >= _BATCH:
                 since_poll = 0
@@ -570,12 +476,10 @@ def _iter_metric_pairs(
     # Generic blocking: compare bucket representatives; only profitable
     # when there are far fewer distinct values than rows.
     if m * (m - 1) // 2 + m > n * (n - 1) // 2:
-        yield from _iter_scan_pairs(n, restrict, shard)
+        yield from _iter_scan_pairs(n, restrict)
         return
     since_poll = 0
     for a in range(m):
-        if not _owned(shard, a):
-            continue
         u, rows_u = reps[a]
         if len(rows_u) > 1 and atom.accepts_distance(metric.distance(u, u)):
             yield from expand_self(rows_u)
@@ -594,7 +498,6 @@ def _iter_metric_pairs(
 def _iter_sweep_pairs(
     ctx: ExecutionContext,
     spec: _SweepSpec,
-    shard: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, int]]:
     n = ctx.n
     sort_col = ctx.column(spec.sort_attr)
@@ -609,10 +512,6 @@ def _iter_sweep_pairs(
     bad_rows: list[list[int]] = [[] for _ in spec.clauses]
     prior_rows: list[int] = []
 
-    # Sharding: a pair is owned by the sweep position of its *later*
-    # row (the tie-block partner / the querying row), so shards of one
-    # sweep partition the pair space while every shard still feeds all
-    # rows through the sorted store structures.
     i = 0
     since_poll = 0
     while i < len(rows):
@@ -623,7 +522,7 @@ def _iter_sweep_pairs(
         block = rows[i:j]
         # A sweep over violation-free data yields nothing, so the
         # consumer never charges it; poll the budget per block batch so
-        # deadlines and shard cancellation still interrupt the sweep.
+        # deadlines still interrupt the sweep.
         since_poll += len(block)
         if since_poll >= _BATCH:
             since_poll = 0
@@ -632,16 +531,12 @@ def _iter_sweep_pairs(
             # Non-strict guard: equal sort values satisfy the guard in
             # both orientations — brute-force the tie block.
             for b in range(1, len(block)):
-                if not _owned(shard, i + b):
-                    continue
                 q = block[b]
                 for a in range(b):
                     p = block[a]
                     yield (p, q) if p < q else (q, p)
         if prior_rows:
-            for off, r in enumerate(block):
-                if not _owned(shard, i + off):
-                    continue
+            for r in block:
                 fired: set[int] = set()
                 for c, (_, _, eff_op, negated, kind) in enumerate(
                     spec.clauses
@@ -702,14 +597,14 @@ def _vector_binding(plan: Plan, ctx: ExecutionContext) -> Any | None:
 
     Routing order: the ``REPRO_KERNEL_BACKEND`` mode (``scalar`` never
     vectorizes; ``auto`` additionally requires ``_VEC_MIN_ROWS`` rows),
-    the numpy/encoding substrate, the plan's static per-atom
+    the encoding substrate, the plan's static per-atom
     vectorizability, and finally :func:`kernels_vec.bind`'s dynamic
     per-context checks (column representability, metric identity).
     """
     mode = kernel_backend_mode()
     if mode == "scalar":
         return None
-    if not HAS_NUMPY or not encoded_enabled():
+    if not encoded_enabled():
         return None
     if not plan.vector_eligible:
         return None
@@ -724,95 +619,20 @@ def _candidates(
     plan: Plan,
     ctx: ExecutionContext,
     restrict: set[int] | None,
-    shard: tuple[int, int] | None,
 ) -> tuple[str, Iterable[tuple[int, int]]]:
     eq_attrs = _shared_equality_attrs(plan)
     if eq_attrs:
-        return "group", _iter_group_pairs(ctx, eq_attrs, restrict, shard)
+        return "group", _iter_group_pairs(ctx, eq_attrs, restrict)
     if restrict is None:
         struct = _sweep_struct(plan)
         if struct is not None:
             spec = _sweep_spec(struct, ctx)
             if spec is not None:
-                return "sweep", _iter_sweep_pairs(ctx, spec, shard)
+                return "sweep", _iter_sweep_pairs(ctx, spec)
     atom = _shared_metric_atom(plan)
     if atom is not None:
-        return "metric", _iter_metric_pairs(ctx, atom, restrict, shard)
-    return "scan", _iter_scan_pairs(ctx.n, restrict, shard)
-
-
-def execute_pairs_keyed(
-    plan: Plan,
-    ctx: ExecutionContext,
-    verify: PairVerify,
-    *,
-    restrict: set[int] | None = None,
-    first_only: bool = False,
-    shard: tuple[int, int] | None = None,
-) -> tuple[str, list[tuple[Any, Any]]]:
-    """Run a pair plan; return ``(strategy, unsorted keyed hits)``.
-
-    The building block of both the serial executor (:func:`execute_pairs`
-    sorts the hits) and the sharded one (:mod:`repro.plan.parallel`
-    concatenates every shard's hits and sorts once).  With a ``shard``
-    the per-execution bookkeeping (execution count, total pair space,
-    strategy note) is suppressed — the shard *owner* records it exactly
-    once — while per-pair work (pairs examined, candidate/verified
-    volume, budget checkpoints) is recorded normally and sums across
-    shards to the unsharded totals.
-    """
-    n = ctx.n
-    root = shard is None
-    if root:
-        COUNTERS.executions += 1
-        COUNTERS.pairs_total += n * (n - 1) // 2
-    if plan.never:
-        # Static analysis proved no clause can fire — nothing to scan.
-        if root:
-            COUNTERS.note("never")
-        return "never", []
-    vp = _vector_binding(plan, ctx)
-    hits: list[tuple[Any, Any]]
-    if vp is not None:
-        from . import kernels_vec
-
-        strategy = f"vec-{vp.strategy}"
-        if root:
-            COUNTERS.note(strategy)
-        examined = COUNTERS.pairs_examined
-        hits = kernels_vec.run_pairs(
-            vp, verify, restrict=restrict, first_only=first_only,
-            shard=shard,
-        )
-        COUNTERS.note_work(
-            strategy,
-            candidates=COUNTERS.pairs_examined - examined,
-            verified=len(hits),
-        )
-        return strategy, hits
-    strategy, candidates = _candidates(plan, ctx, restrict, shard)
-    if root:
-        COUNTERS.note(strategy)
-    hits = []
-    pending = 0
-    examined = 0
-    for p, q in candidates:
-        pending += 1
-        if pending >= _BATCH:
-            COUNTERS.pairs_examined += pending
-            examined += pending
-            checkpoint(pairs=pending)
-            pending = 0
-        hit = verify(p, q)
-        if hit is not None:
-            hits.append(hit)
-            if first_only:
-                break
-    COUNTERS.pairs_examined += pending
-    examined += pending
-    checkpoint(pairs=pending)
-    COUNTERS.note_work(strategy, candidates=examined, verified=len(hits))
-    return strategy, hits
+        return "metric", _iter_metric_pairs(ctx, atom, restrict)
+    return "scan", _iter_scan_pairs(ctx.n, restrict)
 
 
 def execute_pairs(
@@ -831,9 +651,51 @@ def execute_pairs(
     incremental re-probe).  ``first_only`` short-circuits on the first
     verified hit (``holds``-style queries).
     """
-    _, hits = execute_pairs_keyed(
-        plan, ctx, verify, restrict=restrict, first_only=first_only
-    )
+    n = ctx.n
+    COUNTERS.executions += 1
+    COUNTERS.pairs_total += n * (n - 1) // 2
+    if plan.never:
+        # Static analysis proved no clause can fire — nothing to scan.
+        COUNTERS.note("never")
+        return []
+    vp = _vector_binding(plan, ctx)
+    hits: list[tuple[Any, Any]]
+    if vp is not None:
+        from . import kernels_vec
+
+        strategy = f"vec-{vp.strategy}"
+        COUNTERS.note(strategy)
+        examined = COUNTERS.pairs_examined
+        hits = kernels_vec.run_pairs(
+            vp, verify, restrict=restrict, first_only=first_only
+        )
+        COUNTERS.note_work(
+            strategy,
+            candidates=COUNTERS.pairs_examined - examined,
+            verified=len(hits),
+        )
+    else:
+        strategy, candidates = _candidates(plan, ctx, restrict)
+        COUNTERS.note(strategy)
+        hits = []
+        pending = 0
+        examined = 0
+        for p, q in candidates:
+            pending += 1
+            if pending >= _BATCH:
+                COUNTERS.pairs_examined += pending
+                examined += pending
+                checkpoint(pairs=pending)
+                pending = 0
+            hit = verify(p, q)
+            if hit is not None:
+                hits.append(hit)
+                if first_only:
+                    break
+        COUNTERS.pairs_examined += pending
+        examined += pending
+        checkpoint(pairs=pending)
+        COUNTERS.note_work(strategy, candidates=examined, verified=len(hits))
     hits.sort(key=lambda item: item[0])
     return [payload for _, payload in hits]
 

@@ -3,8 +3,8 @@
 The scalar kernels in :mod:`repro.plan.kernels` prune the pair space
 well but still refine every candidate one pair at a time through a
 Python ``verify`` callback.  This module evaluates whole deny-form
-clauses as batch numpy operations over the dictionary-encoded column
-slabs exposed by an :class:`~repro.plan.slabs.ExecutionContext`:
+clauses as batch numpy operations over the dictionary-encoded
+columns exposed by an :class:`~repro.plan.slabs.ExecutionContext`:
 
 * equality / inequality atoms become code-column comparisons on
   candidate index arrays (with per-code lookup tables for the SQL
@@ -30,12 +30,6 @@ caller falls back to the scalar kernels.  Candidate generation streams
 index blocks of at most :data:`_CHUNK` pairs, charging each block to
 the ambient budget ``checkpoint`` so deadlines and ``max_pairs`` caps
 still bite mid-batch.
-
-The streamed blocks double as the **shard unit** for the parallel
-executor: block generation is deterministic for a given (plan, slabs)
-pair, so ``shard=(k, m)`` simply keeps every m-th block — shards
-partition the candidate pair space exactly, and the merged results are
-byte-identical to a single-process run.
 """
 
 from __future__ import annotations
@@ -65,7 +59,7 @@ _CHUNK = 1 << 16
 #: prefix lengths); beyond it the scalar sweep is the better engine.
 _SWEEP_WORK_CAP = 1 << 26
 
-_Arr = Any  # numpy ndarray (kept opaque: numpy is an optional dep)
+_Arr = Any  # numpy ndarray (kept opaque)
 _AtomFn = Callable[[_Arr, _Arr], _Arr]
 _BlockIter = Iterator[tuple[_Arr, _Arr]]
 
@@ -556,7 +550,7 @@ def _sweep_blocks(prep: _SweepPrep) -> _BlockIter:
     for k, t in enumerate(prep.cand.tolist()):
         # Each candidate does O(prefix) vector work but may buffer or
         # drop every partner without yielding; poll the budget in
-        # batches so deadlines and shard cancellation still bite.
+        # batches so deadlines still bite.
         if k % 256 == 0:
             checkpoint()
         b = int(prep.block_start[t])
@@ -745,7 +739,6 @@ def run_pairs(
     *,
     restrict: set[int] | None = None,
     first_only: bool = False,
-    shard: tuple[int, int] | None = None,
 ) -> list[tuple[Any, Any]]:
     """Stream candidate blocks, mask them, verify only the survivors.
 
@@ -753,12 +746,6 @@ def run_pairs(
     Examined pairs and block checkpoints are charged exactly like the
     scalar executor, so budgets and fault injection see the same
     accounting regardless of backend.
-
-    ``shard=(k, m)`` keeps only every m-th streamed block (by block
-    ordinal, which is deterministic per (plan, slabs)): shards
-    partition the candidate pair space exactly, each shard charges only
-    its own blocks to the counters/budget, and the per-block totals sum
-    across shards to the unsharded run's totals.
     """
     from .kernels import COUNTERS
 
@@ -770,9 +757,7 @@ def run_pairs(
             return []
         rmask[rows] = True
     hits: list[tuple[Any, Any]] = []
-    for ordinal, (p, q) in enumerate(vp.blocks(rmask)):
-        if shard is not None and ordinal % shard[1] != shard[0]:
-            continue
+    for p, q in vp.blocks(rmask):
         size = len(p)
         if size == 0:
             continue

@@ -10,7 +10,6 @@ sorted/inverted indexes, projection/join for MVD semantics).
 from .schema import Attribute, AttributeType, Schema, SchemaError, as_attribute_names
 from .relation import Relation
 from .encoding import (
-    HAS_NUMPY,
     RelationEncoding,
     encoded_enabled,
     set_mode,
@@ -28,7 +27,6 @@ __all__ = [
     "SchemaError",
     "as_attribute_names",
     "Relation",
-    "HAS_NUMPY",
     "RelationEncoding",
     "encoded_enabled",
     "set_mode",

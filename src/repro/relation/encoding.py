@@ -19,10 +19,8 @@ maps each column to a compact integer vector:
   combination of the per-column codes, re-densified on overflow — so a
   multi-attribute group key is one machine integer instead of a tuple.
 
-With numpy present (a declared dependency), grouping becomes
-``np.unique`` + a stable argsort over the combined codes; without it, a
-pure-Python fallback groups the integer codes through a dict, which is
-still cheaper than hashing value tuples.  The encoded path is the
+Grouping is ``np.unique`` + a stable argsort over the combined codes,
+which is cheaper than hashing value tuples.  The encoded path is the
 default; set ``REPRO_NAIVE_SUBSTRATE=1`` (or call :func:`set_mode`)
 to force the naive value-tuple path everywhere.
 
@@ -43,13 +41,7 @@ from contextlib import contextmanager
 from collections.abc import Iterator, Sequence
 from typing import Any
 
-try:  # numpy is a declared dependency, but keep the substrate importable
-    import numpy as _np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as _np
 
 Value = Any
 
@@ -246,70 +238,6 @@ class ColumnCodes:
         self._valid = None
         self._sorted = None
 
-    @classmethod
-    def from_parts(
-        cls,
-        column: Sequence[Value],
-        values: Sequence[Value],
-        codes: Sequence[int],
-        *,
-        floats: Any = None,
-        valid: Any = None,
-        sorted_projection: Any = None,
-    ) -> "ColumnCodes":
-        """Rebuild a codebook from an exported ``(values, codes)`` pair.
-
-        The deserialization path of the column-slab transport (see
-        :mod:`repro.plan.slabs`): a worker process receives the distinct
-        values (first-occurrence order) plus each row's code and
-        reconstitutes the full codebook *without re-hashing the column*
-        — one O(n) integer pass instead of the O(n) value-hashing pass
-        of ``__init__``.  Optional pre-built kernel caches (float
-        projection, validity mask, sorted projection) are adopted as-is
-        so the worker starts warm.
-        """
-        out = cls.__new__(cls)
-        values = list(values)
-        is_array = HAS_NUMPY and isinstance(codes, _np.ndarray)
-        codes_list: list[int] = (
-            codes.tolist() if is_array else [int(c) for c in codes]
-        )
-        groups: list[list[int]] = [[] for _ in values]
-        for i, c in enumerate(codes_list):
-            groups[c].append(i)
-        out.codes = codes_list
-        out.groups = groups
-        out.codebook = {v: c for c, v in enumerate(values)}
-        out.values = values
-        out.n_distinct = len(values)
-        out.none_code = next(
-            (c for c, v in enumerate(values) if v is None), -1
-        )
-        out.self_unequal = False
-        out.numeric_safe = True
-        for v in values:
-            try:
-                if v != v:
-                    out.self_unequal = True
-            # staticcheck: disable=SC008 — a user value whose __eq__
-            # raises is treated as self-unequal (the safe direction);
-            # no budget-governed code runs in the comparison.
-            except Exception:
-                out.self_unequal = True
-            if v is None:
-                continue
-            if not isinstance(v, (bool, int, float)):
-                out.numeric_safe = False
-            elif isinstance(v, int) and not isinstance(v, bool) and (
-                abs(v) > _FLOAT_SAFE_INT
-            ):
-                out.numeric_safe = False
-        out._array = codes if is_array else None
-        out._floats = floats
-        out._valid = valid
-        out._sorted = sorted_projection
-        return out
-
     def extended(self, column: Sequence[Value], start: int) -> "ColumnCodes":
         """A codebook for ``column`` reusing this one for rows < ``start``.
 
@@ -366,7 +294,7 @@ class ColumnCodes:
         out.self_unequal = self_unequal
         out.numeric_safe = numeric_safe
         out._array = None
-        if self._array is not None and HAS_NUMPY:
+        if self._array is not None:
             out._array = _np.concatenate(
                 [self._array, _np.asarray(codes[start:], dtype=_np.int64)]
             )
@@ -378,7 +306,7 @@ class ColumnCodes:
         out._floats = None
         out._valid = None
         out._sorted = None
-        if HAS_NUMPY and numeric_safe:
+        if numeric_safe:
             tail = column[start:]
             if self._floats is not None:
                 tail_floats = _np.asarray(
@@ -425,7 +353,7 @@ class ColumnCodes:
         return out
 
     def array(self):
-        """The codes as an ``int64`` numpy vector (numpy builds only)."""
+        """The codes as an ``int64`` numpy vector."""
         if self._array is None:
             self._array = _np.asarray(self.codes, dtype=_np.int64)
         return self._array
@@ -498,7 +426,7 @@ class RelationEncoding:
         #: Cached :class:`repro.plan.slabs.ExecutionContext` wrapping the
         #: owning relation (the encoding is the natural per-snapshot
         #: cache spot: relations are immutable, derived relations get a
-        #: fresh encoding and therefore a fresh context + share token).
+        #: fresh encoding and therefore a fresh context).
         self._ctx: Any = None
 
     def extended(
@@ -541,7 +469,7 @@ class RelationEncoding:
         return self.column_codes(j).sorted_projection(self._columns[j])
 
     def gather(self, j: int):
-        """Batch fetch of one column's kernel arrays (numpy builds only).
+        """Batch fetch of one column's kernel arrays.
 
         Returns ``(codes, floats, valid)``: ``int64`` dictionary codes,
         the float projection (``None`` unless the column is
@@ -569,31 +497,22 @@ class RelationEncoding:
             return cached
         first = self.column_codes(idxs[0])
         if len(idxs) == 1:
-            combined = first.array() if HAS_NUMPY else first.codes
+            combined = first.array()
             self._combined[idxs] = combined
             return combined
-        if HAS_NUMPY:
-            acc = first.array().copy()
-            card = max(first.n_distinct, 1)
-            for j in idxs[1:]:
-                cc = self.column_codes(j)
-                radix = max(cc.n_distinct, 1)
-                if card * radix > _MAX_RADIX:
-                    __, acc = _np.unique(acc, return_inverse=True)
-                    acc = acc.astype(_np.int64, copy=False)
-                    card = int(acc.max()) + 1 if acc.size else 1
-                    if card * radix > _MAX_RADIX:  # pragma: no cover
-                        raise OverflowError("combined key space too large")
-                acc = acc * radix + cc.array()
-                card *= radix
-        else:
-            acc = list(first.codes)
-            for j in idxs[1:]:
-                cc = self.column_codes(j)
-                radix = max(cc.n_distinct, 1)
-                codes = cc.codes
-                for i in range(self._n):  # Python ints cannot overflow
-                    acc[i] = acc[i] * radix + codes[i]
+        acc = first.array().copy()
+        card = max(first.n_distinct, 1)
+        for j in idxs[1:]:
+            cc = self.column_codes(j)
+            radix = max(cc.n_distinct, 1)
+            if card * radix > _MAX_RADIX:
+                __, acc = _np.unique(acc, return_inverse=True)
+                acc = acc.astype(_np.int64, copy=False)
+                card = int(acc.max()) + 1 if acc.size else 1
+                if card * radix > _MAX_RADIX:  # pragma: no cover
+                    raise OverflowError("combined key space too large")
+            acc = acc * radix + cc.array()
+            card *= radix
         self._combined[idxs] = acc
         return acc
 
@@ -620,7 +539,7 @@ class RelationEncoding:
         codes = self.combined_codes(idxs)
         if self._n == 0:
             table: list[tuple[int, list[int]]] = []
-        elif HAS_NUMPY and isinstance(codes, _np.ndarray):
+        else:
             # One stable argsort over the combined codes; equal codes
             # stay in row order, so each slice is already ascending and
             # its head is the group's first-occurrence row.
@@ -632,11 +551,6 @@ class RelationEncoding:
             rows = order.tolist()
             table = [(rows[s], rows[s:e]) for s, e in zip(starts, ends, strict=True)]
             table.sort(key=lambda group: group[0])
-        else:
-            groups: dict[int, list[int]] = {}
-            for i, c in enumerate(codes):
-                groups.setdefault(c, []).append(i)
-            table = [(members[0], members) for members in groups.values()]
         self._groups[idxs] = table
         return table
 
@@ -691,11 +605,7 @@ class RelationEncoding:
         if len(idxs) == 1:
             count = self.column_codes(idxs[0]).n_distinct
         else:
-            codes = self.combined_codes(idxs)
-            if HAS_NUMPY and isinstance(codes, _np.ndarray):
-                count = int(_np.unique(codes).size)
-            else:
-                count = len(set(codes))
+            count = int(_np.unique(self.combined_codes(idxs)).size)
         self._distinct[idxs] = count
         return count
 
@@ -705,18 +615,9 @@ class RelationEncoding:
         Ascending first-occurrence rows reproduce the naive duplicate
         elimination order of ``Relation.project``.
         """
-        codes = self.combined_codes(idxs)
-        if HAS_NUMPY and isinstance(codes, _np.ndarray):
-            __, first = _np.unique(codes, return_index=True)
-            first.sort()
-            return first.tolist()
-        seen: set[int] = set()
-        out: list[int] = []
-        for i, c in enumerate(codes):
-            if c not in seen:
-                seen.add(c)
-                out.append(i)
-        return out
+        __, first = _np.unique(self.combined_codes(idxs), return_index=True)
+        first.sort()
+        return first.tolist()
 
     # -- pairwise primitives -------------------------------------------
 
@@ -726,13 +627,13 @@ class RelationEncoding:
         Bit ``b`` of a mask is set iff the pair disagrees on the
         ``b``-th attribute of ``idxs`` (FastFD's difference sets, as
         integers).  Returns ``None`` when the vectorized kernel cannot
-        guarantee parity with raw ``!=`` comparisons — no numpy, more
-        than 62 attributes, or a column holding NaN-like values that
+        guarantee parity with raw ``!=`` comparisons — more than 62
+        attributes, or a column holding NaN-like values that
         are unequal to themselves (raw ``!=`` sees a difference where
         equal dictionary codes would not).
         """
         k = len(idxs)
-        if not HAS_NUMPY or not 1 <= k <= 62 or self._n < 2:
+        if not 1 <= k <= 62 or self._n < 2:
             return None
         cols = []
         for j in idxs:

@@ -17,7 +17,6 @@ from typing import Any
 
 from .budget import (
     Budget,
-    ShardToken,
     checkpoint,
     current_budget,
     governed,
@@ -29,7 +28,6 @@ from .errors import BudgetExhausted, EngineFault, InputError, ReproError
 
 __all__ = [
     "Budget",
-    "ShardToken",
     "checkpoint",
     "current_budget",
     "governed",

@@ -25,7 +25,6 @@ ambient one.
 
 from __future__ import annotations
 
-import struct
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -36,160 +35,11 @@ from typing import TYPE_CHECKING
 from .errors import BudgetExhausted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
-    from multiprocessing.shared_memory import SharedMemory
-
     from ..core.base import Dependency
     from ..relation.relation import Relation
 
 _MEMORY_CHECK_STRIDE = 64
 
-#: Exhaustion reasons a :class:`ShardToken` can carry across processes.
-TOKEN_REASONS = ("", "deadline", "candidates", "pairs", "memory", "cancelled")
-
-
-class ShardToken:
-    """Shared cancellation + work accounting for a sharded execution.
-
-    One small ``multiprocessing.shared_memory`` block shared by a parent
-    budget and its worker shards:
-
-    * a **cancel flag** plus reason code — set once by whoever exhausts
-      first (the parent's poll loop or any worker), observed by every
-      other shard at its next cooperative :func:`checkpoint`;
-    * **global work caps** (``max_candidates`` / ``max_pairs``) frozen
-      at creation from the parent's remaining headroom;
-    * one **accounting slot per worker** (candidates, pairs), written
-      only by its owner — lock-free — and summed by :meth:`totals` /
-      :meth:`over_cap` so the *global* caps bite even though each
-      worker only sees its own share of the work.
-
-    Layout: an 18-byte header ``<BBHqq`` (cancel, reason, workers,
-    max_candidates, max_pairs; ``-1`` encodes "no cap") followed by one
-    ``<qq`` slot per worker.  Single-byte flag writes are atomic; slot
-    writes are owner-exclusive; readers tolerate torn 8-byte reads on
-    exotic platforms (the caps re-check at the next checkpoint).
-    """
-
-    _HEADER = struct.Struct("<BBHqq")
-    _SLOT = struct.Struct("<qq")
-
-    def __init__(self, shm: SharedMemory, workers: int, *, owner: bool) -> None:
-        self._shm = shm
-        self.workers = workers
-        self._owner = owner
-
-    # -- lifecycle -----------------------------------------------------
-
-    @classmethod
-    def create(
-        cls,
-        workers: int,
-        *,
-        max_candidates: int | None = None,
-        max_pairs: int | None = None,
-    ) -> "ShardToken":
-        from multiprocessing import shared_memory
-
-        size = cls._HEADER.size + workers * cls._SLOT.size
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        cls._HEADER.pack_into(
-            shm.buf, 0, 0, 0, workers,
-            -1 if max_candidates is None else int(max_candidates),
-            -1 if max_pairs is None else int(max_pairs),
-        )
-        for slot in range(workers):
-            cls._SLOT.pack_into(
-                shm.buf, cls._HEADER.size + slot * cls._SLOT.size, 0, 0
-            )
-        return cls(shm, workers, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShardToken":
-        from multiprocessing import shared_memory
-
-        # Workers are forked and share the parent's resource-tracker
-        # process, whose registry deduplicates: re-registering on attach
-        # is a no-op and the owner's ``unlink`` consumes the single
-        # registration, so no unregister workaround is needed here.
-        shm = shared_memory.SharedMemory(name=name)
-        _, _, workers, _, _ = cls._HEADER.unpack_from(shm.buf, 0)
-        return cls(shm, workers, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        # staticcheck: disable=SC008 — idempotent cleanup of an shm
-        # mapping; nothing budget-governed runs inside the try.
-        except Exception:  # pragma: no cover - double close
-            pass
-
-    def unlink(self) -> None:
-        if self._owner:
-            try:
-                self._shm.unlink()
-            # staticcheck: disable=SC008 — idempotent cleanup of an shm
-            # segment; nothing budget-governed runs inside the try.
-            except Exception:  # pragma: no cover - already unlinked
-                pass
-
-    # -- cancellation --------------------------------------------------
-
-    def cancel(self, reason: str = "cancelled") -> None:
-        """Raise the cancel flag (first reason wins; idempotent)."""
-        if self._shm.buf[0]:
-            return
-        try:
-            code = TOKEN_REASONS.index(reason)
-        except ValueError:
-            code = TOKEN_REASONS.index("cancelled")
-        self._shm.buf[1] = code
-        self._shm.buf[0] = 1
-
-    def cancelled(self) -> str:
-        """The cancellation reason, or ``""`` while still running."""
-        if not self._shm.buf[0]:
-            return ""
-        return TOKEN_REASONS[self._shm.buf[1]]
-
-    # -- accounting ----------------------------------------------------
-
-    def publish(self, slot: int, candidates: int, pairs: int) -> None:
-        """Publish one worker's running totals (owner-exclusive write)."""
-        self._SLOT.pack_into(
-            self._shm.buf,
-            self._HEADER.size + slot * self._SLOT.size,
-            candidates,
-            pairs,
-        )
-
-    def totals(self) -> tuple[int, int]:
-        """Summed (candidates, pairs) across every worker slot."""
-        candidates = pairs = 0
-        for slot in range(self.workers):
-            c, p = self._SLOT.unpack_from(
-                self._shm.buf, self._HEADER.size + slot * self._SLOT.size
-            )
-            candidates += c
-            pairs += p
-        return candidates, pairs
-
-    def over_cap(self) -> str:
-        """Which global cap the summed totals exceed, or ``""``."""
-        _, _, _, max_candidates, max_pairs = self._HEADER.unpack_from(
-            self._shm.buf, 0
-        )
-        if max_candidates < 0 and max_pairs < 0:
-            return ""
-        candidates, pairs = self.totals()
-        if 0 <= max_candidates < candidates:
-            return "candidates"
-        if 0 <= max_pairs < pairs:
-            return "pairs"
-        return ""
 
 _current: ContextVar["Budget | None"] = ContextVar(
     "repro_current_budget", default=None
@@ -224,16 +74,6 @@ class Budget:
     _deadline_at: float | None = field(default=None, init=False, repr=False)
     _ticks: int = field(default=0, init=False, repr=False)
     _parent: "Budget | None" = field(default=None, init=False, repr=False)
-    #: Worker-side shard token (``bind_token``): checkpoints publish
-    #: this budget's counters into its slot and observe cancellation.
-    _token: "ShardToken | None" = field(default=None, init=False, repr=False)
-    _slot: int = field(default=0, init=False, repr=False)
-    #: Parent-side tokens (``attach_token``): exhaustion of *this*
-    #: budget cancels them, so running shards observe it at their next
-    #: checkpoint instead of grinding to completion.
-    _attached: "list[ShardToken]" = field(
-        default_factory=list, init=False, repr=False
-    )
 
     def start(self) -> "Budget":
         """Arm the deadline (idempotent: the first call wins)."""
@@ -337,59 +177,8 @@ class Budget:
             return True
         return self.max_pairs is not None and self.pairs >= self.max_pairs
 
-    def bind_token(self, token: "ShardToken", slot: int) -> "Budget":
-        """Bind this budget to a shard token as worker ``slot``.
-
-        Every later :meth:`checkpoint` publishes the counters into the
-        slot and converts a raised cancel flag (or a blown *global* cap
-        across all slots) into local :class:`BudgetExhausted`.
-        """
-        self._token = token
-        self._slot = slot
-        return self
-
-    def attach_token(self, token: "ShardToken") -> "Budget":
-        """Parent side: cancel ``token`` if this budget exhausts."""
-        self._attached.append(token)
-        return self
-
-    def detach_token(self, token: "ShardToken") -> None:
-        try:
-            self._attached.remove(token)
-        except ValueError:
-            pass
-
-    def absorb(self, candidates: int = 0, pairs: int = 0) -> None:
-        """Record already-performed work without any cap checks.
-
-        The shard-merge path: worker totals come home after the fact
-        and must land on the parent's counters (and its parents') even
-        when they overshoot a cap — the overshoot is then reported by
-        the caller via :meth:`_exhaust`, not silently re-raised here.
-        """
-        self.candidates += candidates
-        self.pairs += pairs
-        parent = self._parent
-        while parent is not None:
-            parent.candidates += candidates
-            parent.pairs += pairs
-            parent = parent._parent
-
     def _exhaust(self, reason: str) -> None:
         self.exhausted = reason
-        # Propagate into any running shards before raising locally:
-        # a worker that exhausts cancels its siblings, and a parent
-        # that exhausts (poll loop, another thread) cancels the fleet.
-        tokens = list(self._attached)
-        if self._token is not None:
-            tokens.append(self._token)
-        for token in tokens:
-            try:
-                token.cancel(reason)
-            # staticcheck: disable=SC008 — best-effort fan-out of the
-            # cancel flag; the BudgetExhausted below always raises.
-            except Exception:  # pragma: no cover - token already gone
-                pass
         raise BudgetExhausted(reason, budget=self)
 
     def checkpoint(self, candidates: int = 0, pairs: int = 0) -> None:
@@ -430,11 +219,6 @@ class Budget:
             if self._ticks % _MEMORY_CHECK_STRIDE == 0:
                 if _peak_rss_bytes() > self.max_memory_bytes:
                     self._exhaust("memory")
-        if self._token is not None:
-            self._token.publish(self._slot, self.candidates, self.pairs)
-            reason = self._token.cancelled() or self._token.over_cap()
-            if reason:
-                self._exhaust(reason)
 
 
 def _peak_rss_bytes() -> int:

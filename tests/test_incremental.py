@@ -375,6 +375,21 @@ class TestChangefeed:
             v.tuples for v in cold.violations
         }
 
+    def test_detector_does_not_retain_applied_changes(self):
+        """A long-lived detector holds no per-batch changefeed entries:
+        once the caller drops a returned change, it is freed."""
+        import gc
+        import weakref
+
+        det = self._detector()
+        change = det.apply(Delta(inserts=[("k1", "CONFLICT")]))
+        ref = weakref.ref(change)
+        del change
+        gc.collect()
+        assert ref() is None
+        assert det.apply(Delta(inserts=[("k3", "v3")])).seq == 2
+        assert det.batches == 2
+
 
 class TestDispatch:
     def test_registry_covers_issue_families(self):

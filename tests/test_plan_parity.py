@@ -5,8 +5,10 @@ mixed ``None``/NaN/bool/int/float/str cells, the same hostile pool as
 ``test_encoding_parity`` — and the violations produced by the pruned
 kernels (``plan_mode("plan")``) must be *identical*, in order, to the
 reference quadratic scan (``plan_mode("naive")``): same pairs, same
-reasons.  ``holds()`` and the kernel-level ``restrict``/``first_only``
-modes are covered as well.
+reasons.  ``holds()``, the kernel-level ``restrict``/``first_only``
+modes and the guard-plan measures (``MD.matches``,
+``NED.support_and_confidence``, ``CD.confidence``, ``PAC.pair_counts``)
+are covered as well.
 """
 
 from __future__ import annotations
@@ -82,6 +84,25 @@ def make_dependencies():
     ]
 
 
+def guard_measures():
+    """``(name, measure)`` for every measure backed by ``guard_pairs``."""
+    md = MD({"A0": 2.0}, ["A1"])
+    cmd = CMD({"A0": 2.0}, "A1", {"A2": 1})
+    ned = NED({"A0": 2.0}, {"A1": 1.0})
+    cd = CD(
+        [SimilarityFunction("A0", "A1", threshold_ij=2.0)],
+        SimilarityFunction("A1", "A2", threshold_ij=1.0),
+    )
+    pac = PAC({"A0": 2.0}, {"A1": 1.0}, 0.8)
+    return [
+        ("MD.matches", md.matches),
+        ("CMD.matches", cmd.matches),
+        ("NED.support_and_confidence", ned.support_and_confidence),
+        ("CD.confidence", cd.confidence),
+        ("PAC.pair_counts", pac.pair_counts),
+    ]
+
+
 def snapshot(dep, relation):
     """Violations as a comparable, order-preserving list."""
     return [(v.tuples, v.reason) for v in dep.violations(relation)]
@@ -96,6 +117,13 @@ def test_violations_parity(relation):
         with plan_mode("plan"):
             got = snapshot(dep, relation)
         assert got == expected, f"plan/naive divergence for {dep.label()}"
+    # Guard-plan pruning never changes a match/support/confidence.
+    for name, measure in guard_measures():
+        with plan_mode("naive"):
+            expected = measure(relation)
+        with plan_mode("plan"):
+            got = measure(relation)
+        assert got == expected, f"guard measure divergence for {name}"
 
 
 @given(relations())

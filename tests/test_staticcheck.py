@@ -1,14 +1,15 @@
 """Seeded fixtures for every stable SC code of the invariant analyzer.
 
 Mirrors ``test_lint_diagnostics.py``: one deliberately broken source
-fixture (true positive) and one compliant twin (true negative) per code
-SC001..SC008, the SC000 suppression-hygiene contract, and — for the
+fixture (true positive) and one compliant twin (true negative) per live
+code SC001..SC008 (SC003 and SC005 are retired), the SC000 suppression-hygiene contract, and — for the
 acceptance path — the ``repro staticcheck`` CLI with its exit-code
 contract plus the zero-findings gate over the real ``src/`` tree.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import textwrap
@@ -29,10 +30,6 @@ from repro.analysis.staticcheck.concurrency_passes import (
 from repro.analysis.staticcheck.kernels_passes import (
     BudgetCheckpointPass,
     EngineNeutralityPass,
-)
-from repro.analysis.staticcheck.memory_passes import (
-    ForkSafetyPass,
-    SharedMemoryLifecyclePass,
 )
 from repro.analysis.staticcheck.reliability_passes import (
     ExceptionDisciplinePass,
@@ -171,82 +168,36 @@ class TestEngineNeutralityPass:
         )
         assert findings == []
 
+    def test_kernels_are_engine_neutral(self):
+        """Acceptance gate: kernels never touch a row-store handle.
 
-# -- SC003: shared-memory lifecycle ------------------------------------
+        The old grep-style pin ("the word relation never appears in the
+        source") is now the SC002 staticcheck pass, which understands
+        imports and identifiers instead of raw substrings.
+        """
+        from repro.plan import kernels, kernels_vec
 
+        check = EngineNeutralityPass()
+        for mod in (kernels, kernels_vec):
+            module = load_source(inspect.getsourcefile(mod))
+            assert list(check.run(module)) == []
 
-class TestSharedMemoryLifecyclePass:
-    def test_unreleased_handle_fires(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def leaky(n):
-                shm = SharedMemory(create=True, size=n)
-                shm.buf[0] = 1
-                return shm.name
-            """,
+    def test_engine_neutrality_pass_catches_seeded_violation(self):
+        """SC002 actually fires: seed a Relation import into a kernel."""
+        from repro.plan import kernels
+
+        source = inspect.getsource(kernels)
+        seeded = source.replace(
+            "from ..runtime import checkpoint",
+            "from ..runtime import checkpoint\n"
+            "from ..relation import Relation",
+            1,
         )
-        assert [f.code for f in findings] == ["SC003"]
-        assert "'shm'" in findings[0].message
-
-    def test_attribute_read_is_not_an_escape(self):
-        # Storing token.name (a str) hands off a derived value, not
-        # the resource — exactly the execute_parallel leak shape.
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def leaky(spec):
-                token = ShardToken.create(4)
-                spec["token"] = token.name
-                run(spec)
-            """,
-        )
-        assert [f.code for f in findings] == ["SC003"]
-
-    def test_finally_release_is_clean(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def careful(n):
-                shm = SharedMemory(create=True, size=n)
-                try:
-                    work(shm)
-                finally:
-                    shm.close()
-                    shm.unlink()
-            """,
-        )
-        assert findings == []
-
-    def test_release_helper_in_finally_is_clean(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def careful(n):
-                token = ShardToken.create(n)
-
-                def release_token():
-                    token.close()
-                    token.unlink()
-
-                try:
-                    work(token)
-                finally:
-                    release_token()
-            """,
-        )
-        assert findings == []
-
-    def test_returned_handle_is_an_ownership_transfer(self):
-        findings = run_pass(
-            SharedMemoryLifecyclePass(),
-            """
-            def make(n):
-                shm = SharedMemory(create=True, size=n)
-                return Handle(shm, n)
-            """,
-        )
-        assert findings == []
+        assert seeded != source
+        module = load_source("src/repro/plan/kernels.py", text=seeded)
+        findings = list(EngineNeutralityPass().run(module))
+        assert findings, "seeded Relation import must be flagged"
+        assert all(f.code == "SC002" for f in findings)
 
 
 # -- SC004: lock ordering ----------------------------------------------
@@ -345,74 +296,6 @@ class TestLockOrderPass:
                 async def fine(self):
                     async with self._lock:
                         await asyncio.sleep(0)
-            """,
-        )
-        assert findings == []
-
-
-# -- SC005: fork safety ------------------------------------------------
-
-
-class TestForkSafetyPass:
-    def test_unguarded_pool_creation_fires(self):
-        findings = run_pass(
-            ForkSafetyPass(),
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def get_pool(n):
-                return ProcessPoolExecutor(n)
-            """,
-        )
-        assert [f.code for f in findings] == ["SC005"]
-        assert "main_thread" in findings[0].message
-
-    def test_lambda_submit_fires(self):
-        findings = run_pass(
-            ForkSafetyPass(),
-            """
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(x):
-                if threading.current_thread() is threading.main_thread():
-                    pool = ProcessPoolExecutor(2)
-                    pool.submit(lambda: x + 1)
-            """,
-        )
-        assert [f.code for f in findings] == ["SC005"]
-        assert "lambda" in findings[0].message
-
-    def test_bound_method_submit_fires(self):
-        findings = run_pass(
-            ForkSafetyPass(),
-            """
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(worker):
-                if threading.current_thread() is threading.main_thread():
-                    pool = ProcessPoolExecutor(2)
-                    pool.submit(worker.step, 1)
-            """,
-        )
-        assert [f.code for f in findings] == ["SC005"]
-
-    def test_guarded_pool_with_module_level_target_is_clean(self):
-        findings = run_pass(
-            ForkSafetyPass(),
-            """
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            def shard_task(blob):
-                return blob
-
-            def run(blob):
-                if threading.current_thread() is not threading.main_thread():
-                    return None
-                pool = ProcessPoolExecutor(2)
-                return pool.submit(shard_task, blob)
             """,
         )
         assert findings == []
@@ -655,8 +538,8 @@ class TestSuppressions:
 class TestRunner:
     def test_every_code_is_registered(self):
         assert sorted(SC_CODES) == [
-            "SC000", "SC001", "SC002", "SC003",
-            "SC004", "SC005", "SC006", "SC007", "SC008",
+            "SC000", "SC001", "SC002",
+            "SC004", "SC006", "SC007", "SC008",
         ]
         pass_codes = {p.code for p in default_passes()}
         assert pass_codes == set(SC_CODES) - {"SC000"}

@@ -7,9 +7,12 @@ suite adds the third path — the columnar kernels of
 hostile value pool (``None``/NaN/bool/int/float/str), plus the edge
 regimes the batch code paths are most likely to get wrong: all-NaN and
 all-``None`` columns, empty and single-row relations, ``restrict=``
-and ``first_only=``.  Non-vectorizable plans (opaque predicates,
-string order columns, text metrics) must *fall back* to the scalar
-kernels, which is asserted through the backend-aware counters.
+and ``first_only=``.  The guard-plan measures (``MD.matches``,
+``NED.support_and_confidence``, ``CD.confidence``,
+``PAC.pair_counts``) get the same three-way treatment.
+Non-vectorizable plans (opaque predicates, string order columns, text
+metrics) must *fall back* to the scalar kernels, which is asserted
+through the backend-aware counters.
 """
 
 from __future__ import annotations
@@ -98,23 +101,54 @@ def three_way(dep, relation):
     return naive, scalar, vector
 
 
-@given(relations())
-@settings(max_examples=40, deadline=None)
-def test_three_way_parity_mixed(relation):
+def guard_measures():
+    """``(name, measure)`` for every measure backed by ``guard_pairs``."""
+    md = MD({"A0": 2.0}, ["A1"])
+    cmd = CMD({"A0": 2.0}, "A1", {"A2": 1})
+    ned = NED({"A0": 2.0}, {"A1": 1.0})
+    cd = CD(
+        [SimilarityFunction("A0", "A1", threshold_ij=2.0)],
+        SimilarityFunction("A1", "A2", threshold_ij=1.0),
+    )
+    pac = PAC({"A0": 2.0}, {"A1": 1.0}, 0.8)
+    return [
+        ("MD.matches", md.matches),
+        ("CMD.matches", cmd.matches),
+        ("NED.support_and_confidence", ned.support_and_confidence),
+        ("CD.confidence", cd.confidence),
+        ("PAC.pair_counts", pac.pair_counts),
+    ]
+
+
+def assert_three_way_parity(relation):
+    """Violations and guard-plan measures agree on all three paths."""
     for dep in make_dependencies():
         naive, scalar, vector = three_way(dep, relation)
         assert scalar == naive, f"scalar divergence for {dep.label()}"
         assert vector == naive, f"vector divergence for {dep.label()}"
+    for name, measure in guard_measures():
+        with plan_mode("naive"):
+            naive = measure(relation)
+        with kernel_backend("scalar"), plan_mode("plan"):
+            scalar = measure(relation)
+        with kernel_backend("vector"), plan_mode("plan"):
+            vector = measure(relation)
+        assert scalar == naive, f"scalar divergence for {name}"
+        assert vector == naive, f"vector divergence for {name}"
+
+
+@given(relations())
+@settings(max_examples=40, deadline=None)
+def test_three_way_parity_mixed(relation):
+    assert_three_way_parity(relation)
 
 
 @given(relations(pool=NUMERIC, attr_type=AttributeType.NUMERICAL))
 @settings(max_examples=40, deadline=None)
 def test_three_way_parity_numeric(relation):
-    """NUMERICAL attributes resolve abs_diff: the vec-metric path."""
-    for dep in make_dependencies():
-        naive, scalar, vector = three_way(dep, relation)
-        assert scalar == naive, f"scalar divergence for {dep.label()}"
-        assert vector == naive, f"vector divergence for {dep.label()}"
+    """NUMERICAL attributes resolve abs_diff: the vec-metric path (for
+    the MD/NED/PAC guards too)."""
+    assert_three_way_parity(relation)
 
 
 @given(st.integers(min_value=0, max_value=5))

@@ -20,12 +20,27 @@ from __future__ import annotations
 from itertools import combinations
 from collections.abc import Mapping, Sequence
 
+import numpy as _np
+
 from ...relation.relation import Relation
 from ...relation.schema import Attribute
 from ..base import Dependency, DependencyError, format_attrs
 from ..violation import Violation, ViolationSet
 from .fd import FD
-from .pattern import Pattern
+from .pattern import Pattern, PatternEntry
+
+
+def _entry_mask(relation: Relation, attribute: str, entry: PatternEntry):
+    """Row mask of ``entry.matches`` on one column, evaluated per code."""
+    codes = relation.encoding().column_codes(
+        relation.schema.index_of(attribute)
+    )
+    verdicts = _np.fromiter(
+        (entry.matches(v) for v in codes.values),
+        dtype=bool,
+        count=codes.n_distinct,
+    )
+    return verdicts[codes.array()]
 
 
 class CFD(Dependency):
@@ -98,17 +113,38 @@ class CFD(Dependency):
         """True iff the RHS pattern is a wildcard (variable CFD)."""
         return all(self.pattern.entry(a).is_wildcard for a in self.rhs)
 
+    def _match_mask(self, relation: Relation):
+        """Boolean row vector of :meth:`matching_indices`."""
+        mask = _np.ones(len(relation), dtype=bool)
+        for a in self.lhs:
+            entry = self.pattern.entry(a)
+            if not entry.is_wildcard:
+                mask &= _entry_mask(relation, a, entry)
+        return mask
+
     def matching_indices(self, relation: Relation) -> list[int]:
-        """Tuples matching ``t_p`` on the LHS — the conditioned subset."""
-        return [
-            i for i in range(len(relation)) if self.matches_lhs(relation, i)
-        ]
+        """Tuples matching ``t_p`` on the LHS — the conditioned subset.
+
+        Columnar evaluation: each non-wildcard LHS entry is evaluated
+        once per *distinct* value of its column (the dictionary
+        codebook), the per-code verdicts are gathered through the row
+        codes, and the per-attribute masks are ANDed; the result is the
+        ascending row indices.  This equals :meth:`matches_lhs` per row
+        because dict-equal values share a code, and for the
+        ``None``/bool/int/float/str cells the substrate holds,
+        dict-equal values get the same verdict from every pattern
+        operator: ``1``/``1.0``/``True`` compare alike, ints and floats
+        compare exactly (an int past 2**53 and its float neighbour are
+        different codes), ``"1"`` and ``1`` are different codes, and
+        each NaN object is its own code.
+        """
+        return _np.flatnonzero(self._match_mask(relation)).tolist()
 
     def support(self, relation: Relation) -> float:
         """Fraction of tuples the condition covers (Section 2.5.3)."""
         if len(relation) == 0:
             return 0.0
-        return len(self.matching_indices(relation)) / len(relation)
+        return int(self._match_mask(relation).sum()) / len(relation)
 
     # -- semantics ------------------------------------------------------------
 
@@ -176,43 +212,49 @@ class CFD(Dependency):
                     )
         return out
 
+    def _rhs_failures(self, relation: Relation, mask):
+        """Rows of ``mask`` whose RHS misses a pattern constant, ascending."""
+        failing = _np.zeros(len(relation), dtype=bool)
+        for a in self.rhs:
+            entry = self.pattern.entry(a)
+            if not entry.is_wildcard:
+                failing |= ~_entry_mask(relation, a, entry)
+        return _np.flatnonzero(failing & mask).tolist()
+
     def violations(self, relation: Relation) -> ViolationSet:
         vs = ViolationSet()
         label = self.label()
-        matching = self.matching_indices(relation)
+        mask = self._match_mask(relation)
 
         # Single-tuple part: RHS constants must be met by each matching tuple.
-        for i in matching:
+        for i in self._rhs_failures(relation, mask):
             vs.extend(self.single_violations(relation, i, label))
 
         # Pairwise part: the embedded FD on the matching subset.
+        columns = [relation.column(a) for a in self.lhs]
         groups: dict[tuple, list[int]] = {}
-        for i in matching:
-            groups.setdefault(relation.values_at(i, self.lhs), []).append(i)
+        for i in _np.flatnonzero(mask).tolist():
+            groups.setdefault(tuple(c[i] for c in columns), []).append(i)
         for x_value, indices in groups.items():
             vs.extend(self.group_violations(relation, x_value, indices, label))
         return vs
 
     def holds(self, relation: Relation) -> bool:
-        matching = self.matching_indices(relation)
-        rhs_conditioned = [
-            a for a in self.rhs if not self.pattern.entry(a).is_wildcard
-        ]
-        groups: dict[tuple, tuple] = {}
-        for i in matching:
-            for a in rhs_conditioned:
-                if not self.pattern.entry(a).matches(
-                    relation.value_at(i, a)
-                ):
-                    return False
-            x = relation.values_at(i, self.lhs)
-            y = relation.values_at(i, self.rhs)
-            if x in groups:
-                if groups[x] != y:
-                    return False
-            else:
-                groups[x] = y
-        return True
+        mask = self._match_mask(relation)
+        if self._rhs_failures(relation, mask):
+            return False
+        rows = _np.flatnonzero(mask)
+        if rows.size < 2:
+            return True
+        enc = relation.encoding()
+        index_of = relation.schema.index_of
+        x = enc.combined_codes(tuple(index_of(a) for a in self.lhs))[rows]
+        y = enc.combined_codes(tuple(index_of(a) for a in self.rhs))[rows]
+        # Sorted on (x, y): the embedded FD fails iff some adjacent pair
+        # agrees on x but not on y.
+        order = _np.lexsort((y, x))
+        x, y = x[order], y[order]
+        return not bool(((x[1:] == x[:-1]) & (y[1:] != y[:-1])).any())
 
     # -- family tree -------------------------------------------------------------
 
@@ -257,10 +299,10 @@ class CFDTableau:
         """Fraction of tuples covered by at least one tableau row."""
         if len(relation) == 0:
             return 0.0
-        covered: set[int] = set()
+        covered = _np.zeros(len(relation), dtype=bool)
         for row in self.rows:
-            covered.update(row.matching_indices(relation))
-        return len(covered) / len(relation)
+            covered |= row._match_mask(relation)
+        return int(covered.sum()) / len(relation)
 
     def __len__(self) -> int:
         return len(self.rows)

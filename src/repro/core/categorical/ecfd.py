@@ -29,9 +29,10 @@ class ECFD(CFD):
     kind = "eCFD"
     _allow_operators = True
 
-    # Semantics are inherited unchanged from CFD: `Pattern.matches`
-    # already evaluates operator entries, and the pairwise/single-tuple
-    # split is identical.  Only construction differs (operators allowed).
+    # Semantics are inherited unchanged from CFD: `PatternEntry.matches`
+    # already evaluates operator entries (per dictionary code, like
+    # constants), and the pairwise/single-tuple split is identical.
+    # Only construction differs (operators allowed).
 
     @classmethod
     def from_cfd(cls, dep: CFD) -> "ECFD":

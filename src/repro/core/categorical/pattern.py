@@ -80,8 +80,12 @@ class PatternEntry:
         return f"{self.op} {self.constant!r}"
 
 
+#: The shared entry of every attribute a pattern does not mention.
+_WILDCARD_ENTRY = PatternEntry(WILDCARD)
+
+
 def wildcard() -> PatternEntry:
-    return PatternEntry(WILDCARD)
+    return _WILDCARD_ENTRY
 
 
 def const(value: Value) -> PatternEntry:
@@ -130,7 +134,7 @@ class Pattern:
         }
 
     def entry(self, attribute: str) -> PatternEntry:
-        return self._entries.get(attribute, wildcard())
+        return self._entries.get(attribute, _WILDCARD_ENTRY)
 
     def entries(self) -> dict[str, PatternEntry]:
         return dict(self._entries)

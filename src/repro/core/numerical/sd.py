@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+import numpy as _np
+
 from ...relation.relation import Relation
 from ...relation.schema import Attribute
 from ..base import Dependency, DependencyError, format_attrs
@@ -81,27 +83,28 @@ class SD(Dependency):
         """Tuple indices sorted by the ordered attributes ``X``.
 
         Tuples with missing ``X`` or ``Y`` values are excluded — the
-        sequence semantics is undefined for them.
+        sequence semantics is undefined for them.  The sort is Python's
+        stable sort on ``X``-value tuples, so ties keep row order.
         """
+        xcols = [relation.column(a) for a in self.lhs]
+        ycol = relation.column(self.rhs)
         usable = [
             i
             for i in range(len(relation))
-            if all(relation.value_at(i, a) is not None for a in self.lhs)
-            and relation.value_at(i, self.rhs) is not None
+            if all(c[i] is not None for c in xcols) and ycol[i] is not None
         ]
-        return sorted(usable, key=lambda i: relation.values_at(i, self.lhs))
+        return sorted(usable, key=lambda i: tuple(c[i] for c in xcols))
 
     def consecutive_gaps(
         self, relation: Relation
     ) -> list[tuple[int, int, float]]:
         """(prev_index, next_index, y_next - y_prev) along the X-order."""
         order = self.sorted_indices(relation)
-        out: list[tuple[int, int, float]] = []
-        for a, b in zip(order, order[1:], strict=False):
-            ya = relation.value_at(a, self.rhs)
-            yb = relation.value_at(b, self.rhs)
-            out.append((a, b, float(yb) - float(ya)))
-        return out
+        ycol = relation.column(self.rhs)
+        return [
+            (a, b, float(ycol[b]) - float(ycol[a]))
+            for a, b in zip(order, order[1:], strict=False)
+        ]
 
     # -- semantics --------------------------------------------------------------
 
@@ -133,18 +136,33 @@ class SD(Dependency):
         an upper-bound sequence, so we compute the longest subsequence
         (in X-order) whose consecutive gaps all fall in ``g`` — an
         O(n²) DP — and report ``|longest| / n``.
+
+        The DP is columnar: step ``k`` tests every earlier gap
+        ``ys[k] - ys[:k]`` against ``g`` in one float64 comparison, with
+        exactly :meth:`Interval.contains`'s rules (open ends exclude the
+        bound, infinite bounds never exclude, a NaN gap is contained),
+        and extends the longest run among the earlier rows that pass.
         """
         order = self.sorted_indices(relation)
         n = len(order)
         if n == 0:
             return 1.0
-        ys = [float(relation.value_at(i, self.rhs)) for i in order]
-        best = [1] * n
-        for k in range(1, n):
-            for m in range(k):
-                if self.gap.contains(ys[k] - ys[m]) and best[m] + 1 > best[k]:
-                    best[k] = best[m] + 1
-        return max(best) / n
+        ycol = relation.column(self.rhs)
+        ys = _np.array([float(ycol[i]) for i in order], dtype=_np.float64)
+        gap = self.gap
+        best = _np.ones(n, dtype=_np.int64)
+        with _np.errstate(invalid="ignore"):
+            for k in range(1, n):
+                delta = ys[k] - ys[:k]
+                outside = (delta < gap.low) | (delta > gap.high)
+                if gap.low_open:
+                    outside |= delta == gap.low
+                if gap.high_open:
+                    outside |= delta == gap.high
+                run = best[:k][~outside]
+                if run.size:
+                    best[k] = run.max() + 1
+        return int(best.max()) / n
 
     # -- family tree -----------------------------------------------------------
 

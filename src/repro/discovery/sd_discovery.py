@@ -154,19 +154,28 @@ def discover_sds(
         a.name for a in relation.schema.numerical_attributes()
     )
     found: list[SD] = []
+    #: rhs -> total range of its defined values (None: no defined value),
+    #: computed on first use, once per dependent attribute.
+    spans: dict[str, float | None] = {}
     for lhs in names:
         for rhs in names:
             if lhs == rhs:
                 continue
             stats.candidates_checked += 1
             gap = fit_gap_interval(relation, lhs, rhs)
-            col = [
-                float(v) for v in relation.column(rhs) if v is not None
-            ]
-            if not col or gap.high == math.inf or gap.low == -math.inf:
+            if rhs not in spans:
+                col = [
+                    float(v) for v in relation.column(rhs) if v is not None
+                ]
+                spans[rhs] = max(col) - min(col) if col else None
+            value_span = spans[rhs]
+            if (
+                value_span is None
+                or gap.high == math.inf
+                or gap.low == -math.inf
+            ):
                 stats.candidates_pruned += 1
                 continue
-            value_span = max(col) - min(col)
             if value_span <= 0:
                 stats.candidates_pruned += 1
                 continue

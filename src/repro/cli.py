@@ -45,45 +45,29 @@ from collections.abc import Sequence
 
 from .core.categorical import FD
 from .profiler import profile_relation
-from .relation import Attribute, AttributeType, Relation, Schema
-from .relation.io import read_csv
+from .relation import Relation, Schema
+from .relation.io import infer_schema, read_csv_inferred
 from .runtime.budget import Budget, checkpoint, governed
 from .runtime.errors import BudgetExhausted, ReproError
 
 
 def _detect_schema(path: str, numerical: set[str], text: set[str]) -> Schema:
-    """Infer column types from the CSV head, honouring overrides."""
-    raw = read_csv(path)
+    """Infer column types from every cell of the CSV, honouring overrides.
 
-    def is_number(v: object) -> bool:
-        try:
-            float(str(v))
-        except (TypeError, ValueError):
-            return False
-        return True
-
-    attrs = []
-    for name in raw.schema.names():
-        if name in numerical:
-            dtype = AttributeType.NUMERICAL
-        elif name in text:
-            dtype = AttributeType.TEXT
-        else:
-            column = [v for v in raw.column(name) if v is not None]
-            dtype = (
-                AttributeType.NUMERICAL
-                if column and all(is_number(v) for v in column)
-                else AttributeType.TEXT
-            )
-        attrs.append(Attribute(name, dtype))
-    return Schema(attrs)
+    A column is numerical iff it has a non-empty cell and every
+    non-empty cell parses with ``float()``.  One CSV pass, no coercion.
+    """
+    return infer_schema(path, numerical, text)
 
 
 def load_relation(path: str, numerical: Sequence[str] = (),
                   text: Sequence[str] = ()) -> Relation:
-    """Load a CSV with auto-detected (or overridden) column types."""
-    schema = _detect_schema(path, set(numerical), set(text))
-    return read_csv(path, schema)
+    """Load a CSV with auto-detected (or overridden) column types.
+
+    One CSV pass: each column's type is inferred as
+    :func:`_detect_schema` does, from the same parse that coerces it.
+    """
+    return read_csv_inferred(path, set(numerical), set(text))
 
 
 def _parse_fd(spec: str) -> FD:
@@ -278,7 +262,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
     schema = None
     if args.csv:
-        schema = load_relation(args.csv, args.numerical, args.text).schema
+        schema = _detect_schema(
+            args.csv, set(args.numerical), set(args.text)
+        )
     report = lint_entries(entries, schema=schema)
 
     for diag in report.diagnostics:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import count, islice, pairwise
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -107,7 +108,8 @@ def relation_to_state(relation: Any) -> dict[str, Any]:
     declared types) plus one ``{"values", "codes"}`` pair per column —
     the distinct cell values in first-occurrence order and each row's
     index into them, i.e. exactly the dictionary encoding the substrate
-    builds, so repeated values serialize once.  A column holding
+    builds (and reuses, for columns whose codebook is already built), so
+    repeated values serialize once.  A column holding
     unhashable cells (which the encoded substrate cannot index either)
     falls back to a raw ``{"raw": [...]}`` value list.
 
@@ -118,22 +120,23 @@ def relation_to_state(relation: Any) -> dict[str, Any]:
     schema = [
         {"name": a.name, "type": a.dtype.value} for a in relation.schema
     ]
+    encoding = relation._enc
     columns: list[dict[str, Any]] = []
     for j in range(len(relation.schema)):
+        built = None if encoding is None else encoding._per_column[j]
+        if built is not None:
+            columns.append(
+                {"values": list(built.values), "codes": built.codes.tolist()}
+            )
+            continue
         column = relation._columns[j]
         codebook: dict[Value, int] = {}
-        codes: list[int] = []
-        values: list[Value] = []
         try:
-            for v in column:
-                code = codebook.setdefault(v, len(values))
-                if code == len(values):
-                    values.append(v)
-                codes.append(code)
+            codes = _encode(column, codebook)
         except TypeError:  # unhashable cell: store the column verbatim
             columns.append({"raw": list(column)})
             continue
-        columns.append({"values": values, "codes": codes})
+        columns.append({"values": list(codebook), "codes": codes.tolist()})
     return {
         "version": STATE_VERSION,
         "n": len(relation),
@@ -177,66 +180,125 @@ def relation_from_state(state: dict[str, Any]) -> Any:
     return Relation.from_columns(schema, columns)
 
 
+def _encode(column: Sequence[Value], codebook: dict[Value, int]):
+    """Each value's code as an ``int64`` vector, adding unseen values to
+    ``codebook`` (value -> code) with the next free code, in
+    first-occurrence order.
+
+    One C-level ``dict.setdefault`` pass gives each unseen value its
+    first row (offset by the old codebook size) as a provisional code;
+    since first rows ascend in first-occurrence order, a lookup table
+    then renumbers them densely.
+    """
+    base = len(codebook)
+    n = len(column)
+    codes = _np.fromiter(
+        map(codebook.setdefault, column, count(base)), _np.int64, n
+    )
+    fresh = len(codebook) - base
+    if 0 < fresh < n:  # fresh == n: every row is new, already dense
+        table = _np.arange(base + n, dtype=_np.int64)
+        table[
+            _np.fromiter(islice(codebook.values(), base, None), _np.int64, fresh)
+        ] = _np.arange(base, base + fresh)
+        codes = table[codes]
+        codebook.update(
+            zip(list(islice(codebook, base, None)), range(base, base + fresh))
+        )
+    return codes
+
+
+_NONE = type(None)
+
+
+def _classify(
+    values: Sequence[Value], self_unequal: bool, numeric_safe: bool
+) -> tuple[bool, bool]:
+    """``(self_unequal, numeric_safe)`` after adding distinct ``values``.
+
+    ``self_unequal``: some value is unequal to itself (NaN-like), so
+    equal codes do not imply raw ``==``.  ``numeric_safe``: every
+    non-``None`` value is a bool, int or float and ints stay within
+    2**53, so the float projection is exact.
+    """
+    # Exact str and int values always equal themselves: the common
+    # text and integer columns skip the per-value loop.
+    kinds = set(map(type, values))
+    if kinds <= {_NONE, str}:
+        return self_unequal, numeric_safe and str not in kinds
+    if kinds <= {_NONE, int}:
+        ints = [v for v in values if v is not None]
+        return self_unequal, numeric_safe and (
+            not ints
+            or (-_FLOAT_SAFE_INT <= min(ints) and max(ints) <= _FLOAT_SAFE_INT)
+        )
+    for v in values:
+        try:
+            if v != v:
+                self_unequal = True
+        # staticcheck: disable=SC008 — a user value whose __eq__
+        # raises is treated as self-unequal (the safe direction);
+        # no budget-governed code runs in the comparison.
+        except Exception:
+            self_unequal = True
+        if v is None:
+            continue
+        if not isinstance(v, (bool, int, float)):
+            numeric_safe = False
+        elif isinstance(v, int) and not isinstance(v, bool) and (
+            abs(v) > _FLOAT_SAFE_INT
+        ):
+            numeric_safe = False
+    return self_unequal, numeric_safe
+
+
 class ColumnCodes:
     """Dictionary encoding of one column.
 
-    ``codes[i]`` is the dense integer code of row ``i``'s value;
-    ``values[c]`` is the first-seen representative of code ``c``.
+    ``codes[i]`` (an ``int64`` vector) is the dense integer code of row
+    ``i``'s value; ``values[c]`` is the first-seen representative of
+    code ``c``.  The per-code member lists (:attr:`groups`) are derived
+    on first use, so a column that is only compared or gathered never
+    builds them.
     """
 
     __slots__ = (
-        "codes", "values", "codebook", "groups", "n_distinct",
-        "self_unequal", "numeric_safe", "none_code", "_array", "_floats",
+        "codes", "values", "codebook", "_groups", "n_distinct",
+        "self_unequal", "numeric_safe", "none_code", "_floats",
         "_valid", "_sorted",
     )
 
     def __init__(self, column: Sequence[Value]) -> None:
         codebook: dict[Value, int] = {}
-        codes: list[int] = []
-        #: member rows per code, collected during the same pass — the
-        #: single-attribute group table comes for free.
-        groups: list[list[int]] = []
-        none_code = -1
-        for i, v in enumerate(column):
-            code = codebook.setdefault(v, len(codebook))
-            codes.append(code)
-            if code == len(groups):
-                groups.append([i])
-            else:
-                groups[code].append(i)
-            if v is None:
-                none_code = code
-        self.codes = codes
-        self.groups = groups
+        self.codes = _encode(column, codebook)
         #: value -> code, retained so append-only deltas can extend the
         #: encoding in place instead of rebuilding it.
         self.codebook = codebook
         self.values: list[Value] = list(codebook)
         self.n_distinct = len(self.values)
-        self.none_code = none_code
-        self.self_unequal = False
-        self.numeric_safe = True
-        for v in self.values:
-            try:
-                if v != v:
-                    self.self_unequal = True
-            # staticcheck: disable=SC008 — a user value whose __eq__
-            # raises is treated as self-unequal (the safe direction);
-            # no budget-governed code runs in the comparison.
-            except Exception:
-                self.self_unequal = True
-            if v is None:
-                continue
-            if not isinstance(v, (bool, int, float)):
-                self.numeric_safe = False
-            elif isinstance(v, int) and not isinstance(v, bool) and (
-                abs(v) > _FLOAT_SAFE_INT
-            ):
-                self.numeric_safe = False
-        self._array = None
+        self.none_code = codebook.get(None, -1)
+        self.self_unequal, self.numeric_safe = _classify(
+            self.values, False, True
+        )
+        self._groups: list[list[int]] | None = None
         self._floats = None
         self._valid = None
         self._sorted = None
+
+    @property
+    def groups(self) -> list[list[int]]:
+        """Member rows per code, in code (= first-occurrence) order.
+
+        Each list is ascending.  Built on first use from one stable
+        argsort of the codes; callers must treat the lists as read-only.
+        """
+        if self._groups is None:
+            rows = _np.argsort(self.codes, kind="stable").tolist()
+            ends = _np.cumsum(
+                _np.bincount(self.codes, minlength=self.n_distinct)
+            ).tolist()
+            self._groups = [rows[s:e] for s, e in pairwise([0, *ends])]
+        return self._groups
 
     def extended(self, column: Sequence[Value], start: int) -> "ColumnCodes":
         """A codebook for ``column`` reusing this one for rows < ``start``.
@@ -245,59 +307,36 @@ class ColumnCodes:
         ``start`` (the append-only delta contract).  Existing codes are
         memcpy-shared, new values extend the codebook in first-occurrence
         order — preserving the parity-critical invariant that code order
-        equals first-occurrence order — and the per-code member lists are
-        copy-on-append, so untouched groups stay shared with the parent.
+        equals first-occurrence order.  Group lists stay lazy unless this
+        codebook already built them; then they are copy-on-append, so
+        untouched groups stay shared with the parent.
         """
         out = ColumnCodes.__new__(ColumnCodes)
         codebook = dict(self.codebook)
-        codes = list(self.codes)
-        groups = list(self.groups)
-        grown: set[int] = set()
-        none_code = self.none_code
-        self_unequal = self.self_unequal
-        numeric_safe = self.numeric_safe
-        for i in range(start, len(column)):
-            v = column[i]
-            code = codebook.setdefault(v, len(codebook))
-            codes.append(code)
-            if code == len(groups):
-                groups.append([i])
-                grown.add(code)
-                if v is None:
-                    none_code = code
-                try:
-                    if v != v:
-                        self_unequal = True
-                # staticcheck: disable=SC008 — a user value whose
-                # __eq__ raises is treated as self-unequal (the safe
-                # direction); no budget-governed code runs here.
-                except Exception:
-                    self_unequal = True
-                if v is not None:
-                    if not isinstance(v, (bool, int, float)):
-                        numeric_safe = False
-                    elif isinstance(v, int) and not isinstance(v, bool) and (
-                        abs(v) > _FLOAT_SAFE_INT
-                    ):
-                        numeric_safe = False
-            elif code in grown:
-                groups[code].append(i)
-            else:
-                groups[code] = groups[code] + [i]
-                grown.add(code)
-        out.codes = codes
-        out.groups = groups
+        tail = _encode(column[start:], codebook)
+        fresh = list(islice(codebook, self.n_distinct, None))
+        out.codes = _np.concatenate([self.codes, tail])
         out.codebook = codebook
-        out.values = list(codebook)
+        out.values = self.values + fresh
         out.n_distinct = len(codebook)
-        out.none_code = none_code
-        out.self_unequal = self_unequal
-        out.numeric_safe = numeric_safe
-        out._array = None
-        if self._array is not None:
-            out._array = _np.concatenate(
-                [self._array, _np.asarray(codes[start:], dtype=_np.int64)]
-            )
+        out.none_code = codebook.get(None, -1)
+        out.self_unequal, out.numeric_safe = _classify(
+            fresh, self.self_unequal, self.numeric_safe
+        )
+        out._groups = None
+        if self._groups is not None:
+            groups = list(self._groups)
+            grown: set[int] = set()
+            for i, code in enumerate(tail.tolist(), start):
+                if code == len(groups):
+                    groups.append([i])
+                    grown.add(code)
+                elif code in grown:
+                    groups[code].append(i)
+                else:
+                    groups[code] = groups[code] + [i]
+                    grown.add(code)
+            out._groups = groups
         # The kernel-side caches of PR 6 (float projection, validity
         # mask, sorted projection) must not leak stale: either patch
         # them for the appended tail or drop them.  Patching is only
@@ -306,11 +345,12 @@ class ColumnCodes:
         out._floats = None
         out._valid = None
         out._sorted = None
-        if numeric_safe:
-            tail = column[start:]
+        if out.numeric_safe:
+            tail_values = column[start:]
             if self._floats is not None:
                 tail_floats = _np.asarray(
-                    [float("nan") if v is None else float(v) for v in tail],
+                    [float("nan") if v is None else float(v)
+                     for v in tail_values],
                     dtype=_np.float64,
                 )
                 out._floats = _np.concatenate([self._floats, tail_floats])
@@ -319,7 +359,7 @@ class ColumnCodes:
                     [
                         self._valid,
                         _np.asarray(
-                            [v is not None for v in tail], dtype=bool
+                            [v is not None for v in tail_values], dtype=bool
                         ),
                     ]
                 )
@@ -332,7 +372,8 @@ class ColumnCodes:
                 # ascending-row order — reproduces exactly the stable
                 # argsort a cold build would produce.
                 tail_floats = _np.asarray(
-                    [float("nan") if v is None else float(v) for v in tail],
+                    [float("nan") if v is None else float(v)
+                     for v in tail_values],
                     dtype=_np.float64,
                 )
                 defined = _np.flatnonzero(~_np.isnan(tail_floats))
@@ -354,9 +395,7 @@ class ColumnCodes:
 
     def array(self):
         """The codes as an ``int64`` numpy vector."""
-        if self._array is None:
-            self._array = _np.asarray(self.codes, dtype=_np.int64)
-        return self._array
+        return self.codes
 
     def valid_array(self):
         """Boolean vector: ``True`` where the value is not ``None``."""
@@ -531,8 +570,8 @@ class RelationEncoding:
         if cached is not None:
             return cached
         if len(idxs) == 1:
-            # The codebook pass already collected the member lists,
-            # in code (= first-occurrence) order.
+            # The codebook's member lists are in code (= first-
+            # occurrence) order already.
             table = [(m[0], m) for m in self.column_codes(idxs[0]).groups]
             self._groups[idxs] = table
             return table

@@ -11,6 +11,7 @@ equivalence with cold recomputation lives in
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -271,7 +272,7 @@ class TestCachePatching:
         assert out._enc is not None
         fresh = Relation.from_rows(out.schema, out.rows())
         cc = out._enc.column_codes(0)
-        assert cc.codes == fresh.encoding().column_codes(0).codes
+        assert np.array_equal(cc.codes, fresh.encoding().column_codes(0).codes)
         assert cc.codebook == fresh.encoding().column_codes(0).codebook
 
     def test_no_encoding_inheritance_under_updates(self):

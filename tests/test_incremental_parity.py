@@ -12,6 +12,7 @@ caches equal fresh ones, and inherited codebooks equal rebuilt ones.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,7 +179,7 @@ def test_insert_only_codebook_extension_matches_rebuild(r, rows):
     for j in range(len(SCHEMA)):
         mine = out._enc.column_codes(j)
         fresh = rebuilt.column_codes(j)
-        assert mine.codes == fresh.codes
+        assert np.array_equal(mine.codes, fresh.codes)
         assert mine.codebook == fresh.codebook
         assert mine.none_code == fresh.none_code
         assert mine.numeric_safe == fresh.numeric_safe

@@ -46,7 +46,7 @@ from collections.abc import Sequence
 from .core.categorical import FD
 from .profiler import profile_relation
 from .relation import Relation, Schema
-from .relation.io import infer_schema, read_csv_inferred
+from .relation.io import _infer_schema, _read_csv_inferred
 from .runtime.budget import Budget, checkpoint, governed
 from .runtime.errors import BudgetExhausted, ReproError
 
@@ -57,7 +57,7 @@ def _detect_schema(path: str, numerical: set[str], text: set[str]) -> Schema:
     A column is numerical iff it has a non-empty cell and every
     non-empty cell parses with ``float()``.  One CSV pass, no coercion.
     """
-    return infer_schema(path, numerical, text)
+    return _infer_schema(path, numerical, text)
 
 
 def load_relation(path: str, numerical: Sequence[str] = (),
@@ -67,7 +67,7 @@ def load_relation(path: str, numerical: Sequence[str] = (),
     One CSV pass: each column's type is inferred as
     :func:`_detect_schema` does, from the same parse that coerces it.
     """
-    return read_csv_inferred(path, set(numerical), set(text))
+    return _read_csv_inferred(path, set(numerical), set(text))
 
 
 def _parse_fd(spec: str) -> FD:
@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--csv", default=None,
-        help="CSV whose schema enables the DD001/DD002 checks",
+        help="CSV whose inferred schema enables the DD001/DD002 checks "
+        "(only the column types are read; cells are not checked)",
     )
     p_lint.add_argument(
         "--fix", action="store_true",

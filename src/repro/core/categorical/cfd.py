@@ -32,15 +32,15 @@ from .pattern import Pattern, PatternEntry
 
 def _entry_mask(relation: Relation, attribute: str, entry: PatternEntry):
     """Row mask of ``entry.matches`` on one column, evaluated per code."""
-    codes = relation.encoding().column_codes(
+    cc = relation.encoding().column_codes(
         relation.schema.index_of(attribute)
     )
     verdicts = _np.fromiter(
-        (entry.matches(v) for v in codes.values),
+        (entry.matches(v) for v in cc.values),
         dtype=bool,
-        count=codes.n_distinct,
+        count=cc.n_distinct,
     )
-    return verdicts[codes.array()]
+    return verdicts[cc.codes]
 
 
 class CFD(Dependency):

@@ -108,8 +108,7 @@ def relation_to_state(relation: Any) -> dict[str, Any]:
     declared types) plus one ``{"values", "codes"}`` pair per column —
     the distinct cell values in first-occurrence order and each row's
     index into them, i.e. exactly the dictionary encoding the substrate
-    builds (and reuses, for columns whose codebook is already built), so
-    repeated values serialize once.  A column holding
+    builds, so repeated values serialize once.  A column holding
     unhashable cells (which the encoded substrate cannot index either)
     falls back to a raw ``{"raw": [...]}`` value list.
 
@@ -120,16 +119,8 @@ def relation_to_state(relation: Any) -> dict[str, Any]:
     schema = [
         {"name": a.name, "type": a.dtype.value} for a in relation.schema
     ]
-    encoding = relation._enc
     columns: list[dict[str, Any]] = []
-    for j in range(len(relation.schema)):
-        built = None if encoding is None else encoding._per_column[j]
-        if built is not None:
-            columns.append(
-                {"values": list(built.values), "codes": built.codes.tolist()}
-            )
-            continue
-        column = relation._columns[j]
+    for column in relation._columns:
         codebook: dict[Value, int] = {}
         try:
             codes = _encode(column, codebook)
@@ -208,9 +199,6 @@ def _encode(column: Sequence[Value], codebook: dict[Value, int]):
     return codes
 
 
-_NONE = type(None)
-
-
 def _classify(
     values: Sequence[Value], self_unequal: bool, numeric_safe: bool
 ) -> tuple[bool, bool]:
@@ -221,17 +209,6 @@ def _classify(
     non-``None`` value is a bool, int or float and ints stay within
     2**53, so the float projection is exact.
     """
-    # Exact str and int values always equal themselves: the common
-    # text and integer columns skip the per-value loop.
-    kinds = set(map(type, values))
-    if kinds <= {_NONE, str}:
-        return self_unequal, numeric_safe and str not in kinds
-    if kinds <= {_NONE, int}:
-        ints = [v for v in values if v is not None]
-        return self_unequal, numeric_safe and (
-            not ints
-            or (-_FLOAT_SAFE_INT <= min(ints) and max(ints) <= _FLOAT_SAFE_INT)
-        )
     for v in values:
         try:
             if v != v:
@@ -393,17 +370,13 @@ class ColumnCodes:
                     )
         return out
 
-    def array(self):
-        """The codes as an ``int64`` numpy vector."""
-        return self.codes
-
     def valid_array(self):
         """Boolean vector: ``True`` where the value is not ``None``."""
         if self._valid is None:
             if self.none_code < 0:
                 self._valid = _np.ones(len(self.codes), dtype=bool)
             else:
-                self._valid = self.array() != self.none_code
+                self._valid = self.codes != self.none_code
         return self._valid
 
     def float_array(self, column: Sequence[Value]):
@@ -495,7 +468,7 @@ class RelationEncoding:
         return cc
 
     def codes_array(self, j: int):
-        return self.column_codes(j).array()
+        return self.column_codes(j).codes
 
     def valid_array(self, j: int):
         return self.column_codes(j).valid_array()
@@ -520,7 +493,7 @@ class RelationEncoding:
         floats = (
             cc.float_array(self._columns[j]) if cc.numeric_safe else None
         )
-        return cc.array(), floats, cc.valid_array()
+        return cc.codes, floats, cc.valid_array()
 
     # -- combined keys -------------------------------------------------
 
@@ -536,10 +509,10 @@ class RelationEncoding:
             return cached
         first = self.column_codes(idxs[0])
         if len(idxs) == 1:
-            combined = first.array()
+            combined = first.codes
             self._combined[idxs] = combined
             return combined
-        acc = first.array().copy()
+        acc = first.codes.copy()
         card = max(first.n_distinct, 1)
         for j in idxs[1:]:
             cc = self.column_codes(j)
@@ -550,7 +523,7 @@ class RelationEncoding:
                 card = int(acc.max()) + 1 if acc.size else 1
                 if card * radix > _MAX_RADIX:  # pragma: no cover
                     raise OverflowError("combined key space too large")
-            acc = acc * radix + cc.array()
+            acc = acc * radix + cc.codes
             card *= radix
         self._combined[idxs] = acc
         return acc
@@ -679,7 +652,7 @@ class RelationEncoding:
             cc = self.column_codes(j)
             if cc.self_unequal:
                 return None
-            cols.append(cc.array())
+            cols.append(cc.codes)
         matrix = _np.stack(cols, axis=1)
         weights = _np.left_shift(
             _np.int64(1), _np.arange(k, dtype=_np.int64)

@@ -107,28 +107,21 @@ def read_csv_text(
     return _read(io.StringIO(text), schema, delimiter, allow_nonfinite)
 
 
-def infer_schema(
+def _infer_schema(
     path: str | Path,
     numerical: Collection[str] = (),
     text: Collection[str] = (),
 ) -> Schema:
     """The column types of a CSV file with a header row, from one pass
-    over every cell and no coercion.
+    over every cell and no coercion (see :func:`_infer`).
 
-    A column named in ``numerical`` or ``text`` gets that type.  Any
-    other column is numerical iff it has a non-empty cell and every
-    non-empty cell parses with ``float()``, text otherwise.
+    A column named in ``numerical`` or ``text`` gets that type.
     """
     with _open(path) as f:
         header, rows = _rows(f, None, ",", False, str(path))
     names = list(header.names())
     return Schema(
-        Attribute(
-            name,
-            dtype if dtype is not None
-            else AttributeType.NUMERICAL if _floats(cells)
-            else AttributeType.TEXT,
-        )
+        Attribute(name, _infer(cells, dtype)[0])
         for name, dtype, cells in zip(
             names,
             _overrides(names, numerical, text),
@@ -138,12 +131,12 @@ def infer_schema(
     )
 
 
-def read_csv_inferred(
+def _read_csv_inferred(
     path: str | Path,
     numerical: Collection[str] = (),
     text: Collection[str] = (),
 ) -> Relation:
-    """:func:`read_csv` under the schema :func:`infer_schema` gives,
+    """:func:`read_csv` under the schema :func:`_infer_schema` gives,
     inferred from the same single pass that coerces the cells."""
     source = str(path)
     with _open(path) as f:
@@ -245,9 +238,8 @@ def _build(
 ) -> tuple[list[AttributeType], list[tuple[Value, ...]] | None]:
     """Gather ``rows`` column by column and coerce each column.
 
-    A ``None`` dtype is inferred: numerical iff the column has a
-    non-empty cell and every non-empty cell parses with ``float()``,
-    text otherwise.  Returns the column types and the coerced columns,
+    A ``None`` dtype is inferred (see :func:`_infer`).  Returns the
+    column types and the coerced columns,
     or ``None`` for the columns when a numerical cell does not parse or
     is non-finite without ``allow_nonfinite``.  Cells equal what
     :func:`_coerce` makes of each stripped cell.
@@ -255,13 +247,7 @@ def _build(
     types: list[AttributeType] = []
     columns: list[tuple[Value, ...]] | None = []
     for cells, dtype in zip(_columns(rows, len(dtypes)), dtypes, strict=True):
-        floats = None
-        if dtype is None or dtype is AttributeType.NUMERICAL:
-            floats = _floats(cells)
-            if dtype is None:
-                dtype = (
-                    AttributeType.NUMERICAL if floats else AttributeType.TEXT
-                )
+        dtype, floats = _infer(cells, dtype)
         types.append(dtype)
         if columns is None:
             continue  # an earlier column failed: only infer the rest
@@ -289,6 +275,24 @@ def _columns(rows: list[list[str]], width: int) -> Iterator[tuple[str, ...]]:
     """
     for j in range(width):
         yield tuple(map(str.strip, map(itemgetter(j), rows)))
+
+
+def _infer(
+    cells: tuple[str, ...], dtype: AttributeType | None
+) -> tuple[AttributeType, list[float] | None]:
+    """A column's type and the :func:`_floats` of its cells (``None``
+    for a text column, which is never parsed).
+
+    A ``None`` dtype is inferred: numerical iff the column has a
+    non-empty cell and every non-empty cell parses with ``float()``,
+    text otherwise.
+    """
+    if dtype is AttributeType.TEXT:
+        return dtype, None
+    floats = _floats(cells)
+    if dtype is None:
+        dtype = AttributeType.NUMERICAL if floats else AttributeType.TEXT
+    return dtype, floats
 
 
 def _floats(cells: Iterable[str]) -> list[float] | None:

@@ -420,6 +420,33 @@ class TestLintCli:
         assert main(["lint", str(path), "--csv", str(csv)]) == 1
         assert "DD001" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text, overrides",
+        [
+            ("zip,city\n1,NYC\nnan,LA\n", []),  # non-finite in a number column
+            ("zip,city\n1,NYC\n2,LA\n", ["--numerical", "city"]),
+        ],
+    )
+    def test_csv_schema_is_inferred_without_checking_cells(
+        self, tmp_path, capsys, text, overrides
+    ):
+        """`lint --csv` reads only the column types: cells that
+        `repro check` rejects on load do not fail the lint."""
+        csv = tmp_path / "data.csv"
+        csv.write_text(text, encoding="utf-8")
+        path = tmp_path / "rules.json"
+        path.write_text(
+            json.dumps(
+                {"rules": [{"kind": "FD", "lhs": ["zip"], "rhs": ["city"]}]}
+            ),
+            encoding="utf-8",
+        )
+        assert main(["lint", str(path), "--csv", str(csv), *overrides]) == 0
+        assert "no findings" in capsys.readouterr().out
+        check = ["check", str(csv), "--rules", str(path), *overrides]
+        assert main(check) == 2
+        assert "in numerical column" in capsys.readouterr().out
+
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

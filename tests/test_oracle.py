@@ -347,8 +347,8 @@ def test_wide_numbers_keep_python_types():
 
 # -- dictionary encoding ---------------------------------------------------
 
-#: Columns that take the exact-``int`` and exact-``str`` shortcuts of the
-#: codebook flags, with ints on both sides of the 2**53 bound.
+#: Integer columns with ints on both sides of the 2**53 bound of
+#: ``numeric_safe``, and string columns.
 INTS = [None, 0, 7, -7, 2**53, -(2**53), 2**53 + 1, -(2**53) - 1]
 STRS = [None, "", "a", "b", "1"]
 

@@ -89,32 +89,41 @@ def test_row_column_tradeoff_shape(benchmark):
     assert fastfd_row_growth > tane_row_growth
 
 
-def test_naive_vs_encoded_substrate():
+def test_naive_vs_encoded_substrate(monkeypatch):
     """Discovery-level effect of the dictionary-encoded substrate.
 
-    One-shot timings of TANE and FastFD under both substrate modes on
-    the 1k-row generator workload; FastFD — whose difference-set phase
-    is pair-quadratic in the naive path — must clear the same ≥3× floor
-    the primitive benchmarks enforce.  TANE's end-to-end win is smaller
-    (lattice bookkeeping is mode-independent) and is only reported.
+    One-shot timings of TANE and FastFD on the value-tuple reference
+    substrate (``tests/oracle.py``'s ``NaiveRelation``, with FastFD's
+    per-pair difference sweep) and on the encoded one, on the 1k-row
+    generator workload; FastFD — whose difference-set phase is
+    pair-quadratic on value tuples — must clear the same ≥3× floor the
+    primitive benchmarks enforce.  TANE's end-to-end win is smaller
+    (lattice bookkeeping is substrate-independent) and is only reported.
     """
+    import importlib
+
     from repro.datasets import fd_workload
-    from repro.relation import substrate_mode
+    from repro.discovery.fastfd import _difference_sets_naive
+    from tests.oracle import NaiveRelation
 
     def timed(fn):
         start = time.perf_counter()
         out = fn()
         return time.perf_counter() - start, out
 
-    r = fd_workload(1000, 50, seed=11).relation
-    with substrate_mode("naive"):
-        t_tane_naive, fds_naive = timed(lambda: tane(r, max_lhs_size=2))
-        t_fastfd_naive, ffd_naive = timed(lambda: fastfd(r))
+    naive = NaiveRelation.of(fd_workload(1000, 50, seed=11).relation)
+    t_tane_naive, fds_naive = timed(lambda: tane(naive, max_lhs_size=2))
+    with monkeypatch.context() as m:
+        m.setattr(
+            importlib.import_module("repro.discovery.fastfd"),
+            "difference_sets",
+            _difference_sets_naive,
+        )
+        t_fastfd_naive, ffd_naive = timed(lambda: fastfd(naive))
     # Fresh relation: the naive pass must not pre-warm encoded caches.
     r = fd_workload(1000, 50, seed=11).relation
-    with substrate_mode("encoded"):
-        t_tane_enc, fds_enc = timed(lambda: tane(r, max_lhs_size=2))
-        t_fastfd_enc, ffd_enc = timed(lambda: fastfd(r))
+    t_tane_enc, fds_enc = timed(lambda: tane(r, max_lhs_size=2))
+    t_fastfd_enc, ffd_enc = timed(lambda: fastfd(r))
 
     assert sorted(map(str, fds_naive)) == sorted(map(str, fds_enc))
     assert sorted(map(str, ffd_naive)) == sorted(map(str, ffd_enc))
@@ -128,7 +137,7 @@ def test_naive_vs_encoded_substrate():
          f"{t_fastfd_enc * 1e3:.1f}ms", f"{fastfd_speedup:.1f}x"],
     ]
     write_artifact(
-        "perf1_substrate_modes",
+        "perf1_substrate_reference",
         "Perf-1b — naive vs dictionary-encoded substrate "
         "(fd_workload, 1000 rows)\n\n"
         + format_rows(["algorithm", "naive", "encoded", "speedup"], rows)

@@ -4,9 +4,11 @@ Not a paper figure — performance coverage for the building blocks, so
 regressions in the partitions/metrics/indexes show up in the harness.
 
 The ``TestEncodedSpeedup`` block additionally measures the
-dictionary-encoded fast path against the naive value-tuple path on
-1k-row generator workloads, asserts the ≥3× contract, and writes the
-measurements to ``BENCH_substrate.json`` at the repo root.
+dictionary-encoded substrate against the value-tuple reference
+(``tests/oracle.py``'s ``NaiveRelation``, and FastFD's per-pair
+difference sweep) on 1k-row generator workloads, asserts the ≥3×
+contract, and writes the measurements to ``BENCH_substrate.json`` at
+the repo root.
 """
 
 import json
@@ -20,11 +22,10 @@ from repro.discovery.fastfd import _difference_sets_naive, difference_sets
 from repro.metrics import levenshtein
 from repro.relation import (
     InvertedIndex,
-    Relation,
     SortedIndex,
     StrippedPartition,
-    substrate_mode,
 )
+from tests.oracle import NaiveRelation
 
 
 @pytest.fixture(scope="module")
@@ -127,28 +128,24 @@ def speedups():
     """Measure every primitive once, then let the tests assert slices."""
     results = {}
     r = _fresh_workload()
+    naive = NaiveRelation.of(r)
     attrs = ["code", "city"]
 
-    with substrate_mode("naive"):
-        t_naive = _best_of(lambda: r.group_by(attrs))
-        g_naive = r.group_by(attrs)
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: r.group_by(attrs))
-        assert r.group_by(attrs) == g_naive
+    t_naive = _best_of(lambda: naive.group_by(attrs))
+    g_naive = naive.group_by(attrs)
+    t_enc = _best_of(lambda: r.group_by(attrs))
+    assert r.group_by(attrs) == g_naive
     _record(results, "group_by", t_naive, t_enc)
 
-    with substrate_mode("naive"):
-        t_naive = _best_of(lambda: StrippedPartition.from_relation(r, attrs))
-        p_naive = StrippedPartition.from_relation(r, attrs)
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: StrippedPartition.from_relation(r, attrs))
-        assert StrippedPartition.from_relation(r, attrs) == p_naive
+    t_naive = _best_of(lambda: StrippedPartition.from_relation(naive, attrs))
+    p_naive = StrippedPartition.from_relation(naive, attrs)
+    t_enc = _best_of(lambda: StrippedPartition.from_relation(r, attrs))
+    assert StrippedPartition.from_relation(r, attrs) == p_naive
     _record(results, "partition_build", t_naive, t_enc)
 
-    with substrate_mode("naive"):
-        t_naive = _best_of(lambda: r.distinct_count(attrs), number=20)
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: r.distinct_count(attrs), number=20)
+    t_naive = _best_of(lambda: naive.distinct_count(attrs), number=20)
+    t_enc = _best_of(lambda: r.distinct_count(attrs), number=20)
+    assert r.distinct_count(attrs) == naive.distinct_count(attrs)
     _record(results, "distinct_count", t_naive, t_enc)
 
     # FastFD difference sets are pair-quadratic: one naive timing only.
@@ -156,9 +153,8 @@ def speedups():
     start = time.perf_counter()
     d_naive = _difference_sets_naive(w)
     t_naive = time.perf_counter() - start
-    with substrate_mode("encoded"):
-        t_enc = _best_of(lambda: difference_sets(w), repeat=3, number=1)
-        assert difference_sets(w) == d_naive
+    t_enc = _best_of(lambda: difference_sets(w), repeat=3, number=1)
+    assert difference_sets(w) == d_naive
     _record(results, "difference_sets", t_naive, t_enc)
 
     BENCH_JSON.write_text(

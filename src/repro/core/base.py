@@ -88,11 +88,10 @@ class PairwiseDependency(Dependency):
         """
 
     def iter_violations(self, relation: Relation) -> Iterator[Violation]:
-        """Lazily yield violations pair by pair (the naive scan).
+        """Lazily yield violations pair by pair (the all-pairs scan).
 
-        This is the reference O(n²) path; :meth:`violations` and
-        :meth:`holds` normally route through the compiled plan kernels
-        instead (same results, pruned candidate pairs — see
+        :meth:`violations` and :meth:`holds` route through the compiled
+        plan kernels instead (same results, pruned candidate pairs — see
         :mod:`repro.plan`).
         """
         label = self.label()
@@ -102,19 +101,15 @@ class PairwiseDependency(Dependency):
                 yield Violation(label, (i, j), reason)
 
     def violations(self, relation: Relation) -> ViolationSet:
-        from ..plan import pairwise_violations, plan_enabled
+        from ..plan import pairwise_violations
 
-        if plan_enabled():
-            return ViolationSet(pairwise_violations(self, relation))
-        return ViolationSet(self.iter_violations(relation))
+        return ViolationSet(pairwise_violations(self, relation))
 
     def holds(self, relation: Relation) -> bool:
         # Short-circuit on first violation rather than materializing all.
-        from ..plan import pairwise_violations, plan_enabled
+        from ..plan import pairwise_violations
 
-        if plan_enabled():
-            return not pairwise_violations(self, relation, first_only=True)
-        return next(iter(self.iter_violations(relation)), None) is None
+        return not pairwise_violations(self, relation, first_only=True)
 
     def violating_pairs(self, relation: Relation) -> set[tuple[int, int]]:
         """The set of violating (i, j) pairs, i < j."""

@@ -23,7 +23,6 @@ from itertools import combinations
 import numpy as _np
 
 from ..core.numerical import ALPHA, BETA, DC, Predicate
-from ..relation import encoding as _encoding
 from ..relation.relation import Relation
 from ..relation.schema import AttributeType
 from ..runtime.budget import Budget, checkpoint, governed, resolve_budget
@@ -68,15 +67,14 @@ def evidence_sets(
     the pair satisfies; the Counter tracks how many pairs share each
     evidence set (needed for the approximate variant).
 
-    With the dictionary-encoded substrate each predicate becomes one
-    broadcast comparison over integer codes (equality atoms) or float
-    vectors (order atoms), and the per-pair evidence sets fall out of a
-    single ``np.unique`` over packed bitmasks — O(|P| · n²) C-speed
-    work instead of O(|P| · n²) interpreted ``Predicate.evaluate``
-    calls.  Falls back to the naive path when disabled or when a
-    predicate cannot be vectorized faithfully.
+    Each predicate becomes one broadcast comparison over integer codes
+    (equality atoms) or float vectors (order atoms), and the per-pair
+    evidence sets fall out of a single ``np.unique`` over packed
+    bitmasks — O(|P| · n²) C-speed work instead of O(|P| · n²)
+    interpreted ``Predicate.evaluate`` calls.  Falls back to the
+    per-pair path when a predicate cannot be vectorized faithfully.
     """
-    if _encoding.encoded_enabled() and len(relation) >= 2:
+    if len(relation) >= 2:
         plan = _vectorizable_plan(relation, space)
         if plan is not None:
             # One checkpoint for the whole vectorized sweep — the
@@ -98,7 +96,7 @@ def evidence_sets(
 def _evidence_sets_naive(
     relation: Relation, space: list[Predicate]
 ) -> Counter:
-    """Reference per-pair implementation (parity oracle)."""
+    """Per-pair ``Predicate.evaluate`` sweep (for non-vectorizable spaces)."""
     out: Counter = Counter()
     n = len(relation)
     for i in range(n):

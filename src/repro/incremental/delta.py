@@ -22,7 +22,7 @@ discarding the substrate PR 1 built, carries it forward:
   codebooks in first-occurrence order.
 
 Updates or deletes force a fresh (lazy) encoding: patching codes would
-break the first-occurrence code order that the encoded/naive parity
+break the first-occurrence code order that the encoding's parity
 contract depends on.  Group-table patching has no such constraint (dict
 equality ignores key order), so it applies to every batch shape.
 """

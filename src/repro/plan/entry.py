@@ -35,20 +35,14 @@ def plan_for(dep: Any) -> Plan:
     Compilation lowers the notation; the static simplifier then rewrites
     the plan into a provably equivalent smaller one (dead clauses
     dropped, redundant atoms removed — see
-    :func:`repro.analysis.simplify.simplify_plan`).  Set
-    ``REPRO_NO_SIMPLIFY=1`` to execute raw compiled plans instead.
+    :func:`repro.analysis.simplify.simplify_plan`).
     """
-    import os
-
     plan = getattr(dep, "_repro_plan", None)
     if plan is None or plan.source is not dep:
+        from ..analysis.simplify import simplify_plan
         from .compile import compile_dependency
 
-        plan = compile_dependency(dep)
-        if os.environ.get("REPRO_NO_SIMPLIFY", "") in ("", "0"):
-            from ..analysis.simplify import simplify_plan
-
-            plan = simplify_plan(plan)
+        plan = simplify_plan(compile_dependency(dep))
         try:
             dep._repro_plan = plan
         except (AttributeError, TypeError):

@@ -37,10 +37,9 @@ Each strategy additionally has a *vectorized* twin in
 numpy operations over the encoded columns (strategy names prefixed
 ``vec-``).  ``execute_pairs``/``execute_rows`` route per plan and
 context: the vectorized backend is chosen when the
-``REPRO_KERNEL_BACKEND`` mode allows it, the encoding layer is
-enabled, every atom is vectorizable, and the snapshot is large
-enough to amortize array setup — otherwise the scalar kernels below
-run unchanged.
+``REPRO_KERNEL_BACKEND`` mode allows it, every atom is vectorizable,
+and the snapshot is large enough to amortize array setup — otherwise
+the scalar kernels below run unchanged.
 
 All kernels charge examined pairs to the ambient
 :func:`repro.runtime.checkpoint` in batches, so ``max_pairs`` caps and
@@ -59,7 +58,7 @@ from typing import Any
 
 from ..runtime import checkpoint
 from .ir import ORDER_OPS, CmpAtom, MetricAtom, Plan, kernel_backend_mode
-from .slabs import ExecutionContext, encoded_enabled
+from .slabs import ExecutionContext
 
 #: Pairs charged to the budget per checkpoint call.
 _BATCH = 256
@@ -597,14 +596,12 @@ def _vector_binding(plan: Plan, ctx: ExecutionContext) -> Any | None:
 
     Routing order: the ``REPRO_KERNEL_BACKEND`` mode (``scalar`` never
     vectorizes; ``auto`` additionally requires ``_VEC_MIN_ROWS`` rows),
-    the encoding substrate, the plan's static per-atom
-    vectorizability, and finally :func:`kernels_vec.bind`'s dynamic
-    per-context checks (column representability, metric identity).
+    the plan's static per-atom vectorizability, and finally
+    :func:`kernels_vec.bind`'s dynamic per-context checks (column
+    representability, metric identity).
     """
     mode = kernel_backend_mode()
     if mode == "scalar":
-        return None
-    if not encoded_enabled():
         return None
     if not plan.vector_eligible:
         return None

@@ -10,10 +10,6 @@ code/float/validity arrays, sorted projections, combined keys) and
 nothing else, which is what makes plan execution *engine-neutral*: the
 same kernels could run against another column engine that implements
 this facade.
-
-Layering note: this module re-exports :func:`encoded_enabled` from the
-substrate so the kernel modules can stay free of any ``repro.relation``
-import.
 """
 
 from __future__ import annotations
@@ -21,12 +17,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-from ..relation.encoding import encoded_enabled
-
 __all__ = [
     "ExecutionContext",
     "context_for",
-    "encoded_enabled",
 ]
 
 

@@ -3,16 +3,15 @@
 Every discovery algorithm in the family tree ultimately reduces to a
 handful of primitives over the :class:`~repro.relation.relation.Relation`
 column-store — grouping equal ``X``-values, counting distinct values,
-intersecting partitions, diffing tuple pairs.  The naive implementations
-run those primitives over Python *value tuples*, paying interpreter
-overhead (attribute resolution, tuple allocation, generic ``__eq__``)
-per cell.
+intersecting partitions, diffing tuple pairs.  Run over Python *value
+tuples*, those primitives pay interpreter overhead (attribute
+resolution, tuple allocation, generic ``__eq__``) per cell.
 
 This module adds a lazily built, cached **per-column codebook** that
 maps each column to a compact integer vector:
 
 * equal values (under Python ``dict`` equality semantics, exactly the
-  semantics the naive ``group_by`` already uses) share one code;
+  semantics a value-tuple ``group_by`` would use) share one code;
 * codes are dense ``0..card-1`` integers assigned in first-occurrence
   order, so single-column code order *is* first-occurrence order;
 * attribute sets get a **combined-key encoding** — a radix (mixed-base)
@@ -20,14 +19,14 @@ maps each column to a compact integer vector:
   multi-attribute group key is one machine integer instead of a tuple.
 
 Grouping is ``np.unique`` + a stable argsort over the combined codes,
-which is cheaper than hashing value tuples.  The encoded path is the
-default; set ``REPRO_NAIVE_SUBSTRATE=1`` (or call :func:`set_mode`)
-to force the naive value-tuple path everywhere.
+which is cheaper than hashing value tuples.  It is the only grouping
+path of the substrate.
 
-Parity contract (enforced by ``tests/test_encoding_parity.py``): for
-every primitive the encoded and naive paths return *equal* results —
+Parity contract (enforced by ``tests/test_encoding_parity.py`` against
+the value-tuple reference in ``tests/oracle.py``): every primitive
+returns results *equal* to plain dict grouping over value tuples —
 group keys are decoded from the first-occurrence row, so even the key
-tuples match the naive dict's insertion behaviour.
+tuples match a dict's insertion behaviour.
 
 Thread-safety: encodings are built lazily and cached on the (immutable)
 relation; concurrent builds are idempotent, so races waste work but
@@ -36,10 +35,8 @@ cannot corrupt results.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from itertools import count, islice, pairwise
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as _np
@@ -53,49 +50,6 @@ _MAX_RADIX = 1 << 62
 #: Integers beyond 2**53 lose precision as floats; columns containing
 #: them are not safe for the float-matrix comparison fast paths.
 _FLOAT_SAFE_INT = 1 << 53
-
-_ENV_FLAG = "REPRO_NAIVE_SUBSTRATE"
-
-#: Programmatic override: ``True`` forces encoded, ``False`` forces
-#: naive, ``None`` defers to the environment flag.
-_mode_override: bool | None = None
-
-
-def set_mode(mode: str | None) -> None:
-    """Force the substrate path: ``"encoded"``, ``"naive"``, or ``None``.
-
-    ``None`` restores the default: encoded unless the
-    ``REPRO_NAIVE_SUBSTRATE`` environment variable is set.
-    """
-    global _mode_override
-    if mode is None:
-        _mode_override = None
-    elif mode == "encoded":
-        _mode_override = True
-    elif mode == "naive":
-        _mode_override = False
-    else:
-        raise ValueError(f"unknown substrate mode {mode!r}")
-
-
-@contextmanager
-def substrate_mode(mode: str | None) -> Iterator[None]:
-    """Temporarily force the substrate path (for tests and benchmarks)."""
-    global _mode_override
-    previous = _mode_override
-    set_mode(mode)
-    try:
-        yield
-    finally:
-        _mode_override = previous
-
-
-def encoded_enabled() -> bool:
-    """Whether the dictionary-encoded fast path is active."""
-    if _mode_override is not None:
-        return _mode_override
-    return os.environ.get(_ENV_FLAG, "") in ("", "0")
-
 
 #: Version stamp of the serialized-relation state format below.
 STATE_VERSION = 1
@@ -325,11 +279,7 @@ class ColumnCodes:
         if out.numeric_safe:
             tail_values = column[start:]
             if self._floats is not None:
-                tail_floats = _np.asarray(
-                    [float("nan") if v is None else float(v)
-                     for v in tail_values],
-                    dtype=_np.float64,
-                )
+                tail_floats = _np.array(tail_values, dtype=_np.float64)
                 out._floats = _np.concatenate([self._floats, tail_floats])
             if self._valid is not None:
                 out._valid = _np.concatenate(
@@ -348,11 +298,7 @@ class ColumnCodes:
                 # with side="right" — and the tail's own ties in stable
                 # ascending-row order — reproduces exactly the stable
                 # argsort a cold build would produce.
-                tail_floats = _np.asarray(
-                    [float("nan") if v is None else float(v)
-                     for v in tail_values],
-                    dtype=_np.float64,
-                )
+                tail_floats = _np.array(tail_values, dtype=_np.float64)
                 defined = _np.flatnonzero(~_np.isnan(tail_floats))
                 old_rows, old_vals = self._sorted
                 if defined.size == 0:
@@ -382,14 +328,13 @@ class ColumnCodes:
     def float_array(self, column: Sequence[Value]):
         """The raw values as floats, ``NaN`` for ``None``.
 
-        Only meaningful when :attr:`numeric_safe`; ``NaN`` comparisons
-        are ``False``, matching the naive ``None``-never-compares rule.
+        Only meaningful when :attr:`numeric_safe` (``None``, bools, ints
+        within 2**53 and floats, all of which numpy converts exactly in
+        one C-level pass); ``NaN`` comparisons are ``False``, matching
+        the rule that ``None`` never compares.
         """
         if self._floats is None:
-            self._floats = _np.asarray(
-                [float("nan") if v is None else float(v) for v in column],
-                dtype=_np.float64,
-            )
+            self._floats = _np.array(column, dtype=_np.float64)
         return self._floats
 
     def sorted_projection(self, column: Sequence[Value]):

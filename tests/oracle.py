@@ -1,13 +1,15 @@
 """Reference evaluators: the notations' semantics, one row at a time.
 
-Production code evaluates CFD/eCFD patterns per dictionary code, runs
-the SD confidence DP over numpy vectors, loads CSV column by column in
-one pass and derives dictionary groups from an argsort.  The functions
-here state the same semantics directly — one ``Pattern.matches`` call
-per row, one ``Interval.contains`` call per pair, one coerced cell at a
-time, one dict append per row — and are used only by the tests that
-check the columnar paths against them.  They are deliberately slow and
-simple; do not import them from ``src``.
+Production code evaluates pairwise notations through pruned plan
+kernels, evaluates CFD/eCFD patterns per dictionary code, runs the SD
+confidence DP over numpy vectors, loads CSV column by column in one
+pass and groups rows by dictionary codes.  The functions here state the
+same semantics directly — every tuple pair asked of the notation's own
+predicate, one ``Pattern.matches`` call per row, one
+``Interval.contains`` call per pair, one coerced cell at a time, one
+dict append per row — and are used only by the tests and benchmarks
+that check the production paths against them.  They are deliberately
+slow and simple; do not import them from ``src``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,151 @@ import csv
 import io
 import math
 
+from repro.core.base import Dependency, PairwiseDependency
 from repro.core.categorical.cfd import CFD
+from repro.core.categorical.fd import FD
+from repro.core.heterogeneous.cd import CD
+from repro.core.heterogeneous.md import MD
+from repro.core.heterogeneous.ned import NED
+from repro.core.heterogeneous.pac import PAC
+from repro.core.numerical.dc import ALPHA, BETA, DC
 from repro.core.numerical.sd import CSD, SD
-from repro.core.violation import ViolationSet
+from repro.core.violation import Violation, ViolationSet
 from repro.relation import Attribute, AttributeType, Relation, Schema
 from repro.runtime.errors import InputError
+
+# -- pairwise notations ----------------------------------------------------
+
+
+def pair_scan(
+    dep: PairwiseDependency, relation: Relation, restrict=None
+) -> ViolationSet:
+    """``pair_violation`` asked of every pair (of every pair touching
+    ``restrict``, when given)."""
+    vs = ViolationSet()
+    label = dep.label()
+    for i, j in relation.tuple_pairs():
+        if restrict is not None and i not in restrict and j not in restrict:
+            continue
+        reason = dep.pair_violation(relation, i, j)
+        if reason is not None:
+            vs.add(Violation(label, (i, j), reason))
+    return vs
+
+
+def dc_scan(dep: DC, relation: Relation) -> ViolationSet:
+    """Every row (single-tuple DCs) or every ordered pair ``α != β``,
+    row-major; a pair is reported at its first denied orientation."""
+    vs = ViolationSet()
+    label = dep.label()
+    n = len(relation)
+    if dep.is_single_tuple:
+        var = dep._variables[0]
+        for i in range(n):
+            if dep._assignment_denied(relation, {var: i}):
+                vs.add(Violation(label, (i,), "tuple satisfies all atoms"))
+        return vs
+    for i in range(n):
+        for j in range(n):
+            if i != j and dep._assignment_denied(
+                relation, {ALPHA: i, BETA: j}
+            ):
+                vs.add(Violation(
+                    label, (i, j), f"(tα=t{i}, tβ=t{j}) satisfies all atoms"
+                ))
+    return vs
+
+
+def pac_pair_counts(dep: PAC, relation: Relation) -> tuple[int, int]:
+    """(#pairs within Δ on X, #of those also within ε on Y)."""
+    close = good = 0
+    for i, j in relation.tuple_pairs():
+        if dep._lhs_close(relation, i, j):
+            close += 1
+            good += dep._rhs_close(relation, i, j)
+    return close, good
+
+
+def pac_scan(dep: PAC, relation: Relation) -> ViolationSet:
+    """The pairs within Δ on ``X`` but beyond ε on ``Y``, row-major."""
+    label = dep.label()
+    return ViolationSet(
+        Violation(label, (i, j), "within Δ on X but beyond ε on Y")
+        for i, j in relation.tuple_pairs()
+        if dep._lhs_close(relation, i, j)
+        and not dep._rhs_close(relation, i, j)
+    )
+
+
+def violations(dep: Dependency, relation: Relation) -> ViolationSet:
+    """The definitional scan of a pairwise notation (DC, PAC or any
+    ``pair_violation`` notation); other notations' own ``violations``."""
+    if isinstance(dep, DC):
+        return dc_scan(dep, relation)
+    if isinstance(dep, PAC):
+        return pac_scan(dep, relation)
+    if isinstance(dep, CFD):
+        return cfd_violations(dep, relation)
+    if isinstance(dep, PairwiseDependency):
+        return pair_scan(dep, relation)
+    return dep.violations(relation)
+
+
+def comparable(dep: Dependency, vs) -> list:
+    """A violation list as compared with the oracle's: ``(tuples,
+    reason)`` in order.  FDs report group by group with a group-level
+    reason, so for them only the sorted violating tuples count."""
+    if isinstance(dep, FD):
+        return sorted(v.tuples for v in vs)
+    return [(v.tuples, v.reason) for v in vs]
+
+
+def holds(dep: Dependency, relation: Relation) -> bool:
+    if isinstance(dep, PAC):
+        close, good = pac_pair_counts(dep, relation)
+        return (good / close if close else 1.0) >= dep.threshold
+    return not violations(dep, relation)
+
+
+def md_matches(dep: MD, relation: Relation) -> list[tuple[int, int]]:
+    return [
+        (i, j)
+        for i, j in relation.tuple_pairs()
+        if dep.similar_on_lhs(relation, i, j)
+    ]
+
+
+def ned_support_and_confidence(
+    dep: NED, relation: Relation
+) -> tuple[int, float]:
+    agree = good = 0
+    for i, j in relation.tuple_pairs():
+        if dep.lhs_agrees(relation, i, j):
+            agree += 1
+            good += dep.rhs_agrees(relation, i, j)
+    return agree, (good / agree if agree else 1.0)
+
+
+def cd_confidence(dep: CD, relation: Relation) -> float:
+    agree = good = 0
+    for i, j in relation.tuple_pairs():
+        if dep._lhs_agrees(relation, i, j):
+            agree += 1
+            good += dep.rhs.similar(relation, i, j, dep.registry)
+    return good / agree if agree else 1.0
+
+
+def guard_measure(measure, relation: Relation):
+    """The oracle's value of a bound measure the plan computes over
+    ``guard_pairs`` (``md.matches``, ``pac.pair_counts``, ...)."""
+    reference = {
+        "matches": md_matches,
+        "support_and_confidence": ned_support_and_confidence,
+        "confidence": cd_confidence,
+        "pair_counts": pac_pair_counts,
+    }[measure.__name__]
+    return reference(measure.__self__, relation)
+
 
 # -- CFD / eCFD ----------------------------------------------------------
 
@@ -268,6 +410,12 @@ def column_codes(column):
     return codes, codebook
 
 
+def column_floats(column):
+    """The float64 projection of a numeric-safe column, one ``float()``
+    per cell, ``NaN`` for ``None``."""
+    return [math.nan if v is None else float(v) for v in column]
+
+
 def column_flags(column):
     """``(self_unequal, numeric_safe)`` one distinct value at a time: some
     value is unequal to itself; every non-``None`` value is a bool, int
@@ -309,3 +457,44 @@ def relation_state(relation):
                    for a in relation.schema],
         "columns": columns,
     }
+
+
+class NaiveRelation(Relation):
+    """A relation whose grouping primitives hash value tuples, one dict
+    append per row, instead of grouping dictionary codes.
+
+    ``group_by``, ``_grouped_indices`` (hence partitions and the
+    partition cache), ``distinct_count`` and ``project`` are overridden;
+    everything else is inherited, so any engine run over a
+    ``NaiveRelation`` exercises the value-tuple semantics end to end.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, relation: Relation) -> "NaiveRelation":
+        return cls._from_trusted(relation.schema, relation._columns)
+
+    def _keys(self, attributes):
+        cols = [self.column(a) for a in attributes]
+        if not cols:
+            return [()] * len(self)
+        return list(zip(*cols, strict=True))
+
+    def group_by(self, attributes):
+        groups: dict[tuple, list[int]] = {}
+        for i, key in enumerate(self._keys(attributes)):
+            groups.setdefault(key, []).append(i)
+        return groups
+
+    def _grouped_indices(self, attributes, min_size=1):
+        return [
+            g for g in self.group_by(attributes).values() if len(g) >= min_size
+        ]
+
+    def distinct_count(self, attributes):
+        return len(set(self._keys(attributes)))
+
+    def project(self, attributes):
+        rows = list(dict.fromkeys(self._keys(attributes)))
+        return Relation.from_rows(self.schema.project(attributes), rows)

@@ -8,9 +8,9 @@ suite pins that claim two ways, over the same hostile value pool as
 
 * **deny-set identity** — for every notation and every ordered pair,
   the simplified plan's ``denies`` agrees with the raw compiled plan;
-* **violation-output identity** — ``violations()`` through the kernels
-  is order-identical (same pairs, same reasons) with simplification on
-  (the default) and off (``REPRO_NO_SIMPLIFY=1``).
+* **violation-output identity** — the kernels report order-identical
+  violations (same pairs, same reasons) for the simplified plan that
+  ``violations()`` runs and for the raw compiled plan.
 
 The dependency list is seeded with rules the simplifier actually
 rewrites: duplicate atoms, subsumed clauses, mergeable metric
@@ -18,8 +18,6 @@ intervals, statically dead clauses, and fully unsatisfiable plans.
 """
 
 from __future__ import annotations
-
-import os
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +29,13 @@ from repro.core.heterogeneous.mfd import MFD
 from repro.core.heterogeneous.ned import NED
 from repro.core.numerical.dc import DC, pred2, predc
 from repro.core.numerical.od import OD
+from repro.plan import (
+    build_verify,
+    context_for,
+    execute_pairs,
+    execute_rows,
+    plan_for,
+)
 from repro.plan.compile import compile_dependency
 from repro.relation import Attribute, AttributeType, Relation, Schema
 
@@ -149,27 +154,30 @@ def test_simplifier_shrinks_seeded_rules():
     assert simplify_plan(raw).never
 
 
-def _snapshot(dep, relation):
-    return [(v.tuples, v.reason) for v in dep.violations(relation)]
+def _run(plan, dep, relation):
+    """Violations of ``dep`` from the kernels executing ``plan``."""
+    ctx = context_for(relation)
+    if plan.arity == 1:  # single-tuple DC: the denied rows
+        var = dep._variables[0]
+        return execute_rows(
+            plan,
+            ctx,
+            lambda r: (r, r) if dep._assignment_denied(relation, {var: r})
+            else None,
+        )
+    verify = build_verify("denial" if isinstance(dep, DC) else "pair", dep,
+                          relation)
+    return [(v.tuples, v.reason) for v in execute_pairs(plan, ctx, verify)]
 
 
 @given(relations(max_rows=10))
 @settings(max_examples=40, deadline=None)
 def test_kernel_output_with_and_without_simplification(relation):
-    # Fresh dependency objects per pass: each carries its own cached
-    # plan, so the two passes genuinely compile under different modes.
-    os.environ["REPRO_NO_SIMPLIFY"] = "1"
-    try:
-        expected = [
-            _snapshot(dep, relation) for dep in make_dependencies()
-        ]
-    finally:
-        del os.environ["REPRO_NO_SIMPLIFY"]
-    got = [_snapshot(dep, relation) for dep in make_dependencies()]
-    labels = [dep.label() for dep in make_dependencies()]
-    for label, want, have in zip(labels, expected, got, strict=True):
-        assert have == want, (
-            f"simplification changed kernel output for {label}"
+    for dep in make_dependencies():
+        raw = _run(compile_dependency(dep), dep, relation)
+        simplified = _run(plan_for(dep), dep, relation)
+        assert simplified == raw, (
+            f"simplification changed kernel output for {dep.label()}"
         )
 
 

@@ -2,9 +2,11 @@
 
 ``CFD.matching_indices`` evaluates pattern entries once per dictionary
 code, ``SD.confidence`` runs its DP one numpy comparison per row, the
-CSV loader coerces whole columns in one pass and ``ColumnCodes.groups``
-comes from an argsort; :mod:`tests.oracle` states each semantics one
-row (or pair, or cell) at a time.  The cells here are chosen to break a
+CSV loader coerces whole columns in one pass, ``ColumnCodes.groups``
+comes from an argsort and ``ColumnCodes.float_array`` from one numpy
+conversion; :mod:`tests.oracle` states each semantics one row (or pair,
+or cell) at a time.  Budget-partial detection reports and ``repro
+check`` end to end are held to the oracle as well.  The cells here are chosen to break a
 careless columnar path: ``None``, NaN (shared and fresh objects),
 ``1``/``1.0``/``True``, ``"1"`` vs ``1``, ints past 2**53 next to their
 float neighbour, eCFD order operators between strings and numbers (the
@@ -23,14 +25,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import _detect_schema, load_relation
+from repro.cli import _detect_schema, load_relation, main
 from repro.core import CFD, CSD, SD
 from repro.core.categorical.cfd import CFDTableau
 from repro.core.categorical.ecfd import ECFD
+from repro.core.categorical.fd import FD
 from repro.core.heterogeneous.constraints import Interval
+from repro.core.heterogeneous.dd import DD
+from repro.core.heterogeneous.md import MD
+from repro.core.heterogeneous.ned import NED
+from repro.core.numerical.dc import DC, pred2, predc
+from repro.core.numerical.od import OD
+from repro.quality.detection import Detector
 from repro.relation import Attribute, AttributeType, Relation, Schema
 from repro.relation.encoding import ColumnCodes
 from repro.relation.io import read_csv, read_csv_text
+from repro.rules_io import load_rules
+from repro.runtime import Budget, governed
 from repro.runtime.errors import InputError
 
 from tests import oracle
@@ -414,3 +425,116 @@ def test_lazy_groups_match_dict_grouping(column, cut):
     assert child.groups == fresh.groups
     assert built_parent.groups is before
     assert before == oracle.column_groups(column[:cut])
+
+
+#: Cells :func:`ColumnCodes.float_array` must convert exactly: ``None``,
+#: shared and fresh NaN, bools, ints up to 2**53, signed zero.
+float_cells = st.one_of(
+    st.sampled_from([None, True, False, 0, -3, 2**53, -(2**53), -0.0, 0.0,
+                     2.5, math.inf]),
+    st.just(_NAN),
+    st.builds(float, st.just("nan")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(float_cells, max_size=16), st.integers(min_value=0,
+                                                       max_value=16))
+def test_float_array_matches_oracle(column, cut):
+    want = np.array(oracle.column_floats(column), dtype=np.float64)
+    fresh = ColumnCodes(column)
+    assert fresh.numeric_safe
+    parent = ColumnCodes(column[:min(cut, len(column))])
+    parent.float_array(column[:min(cut, len(column))])
+    child = parent.extended(column, min(cut, len(column)))
+    for got in (fresh.float_array(column), child.float_array(column)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+# -- budget-partial detection ----------------------------------------------
+
+BUDGET_RULES = [
+    FD(["a"], ["b"]),
+    OD([("a", "<=")], [("b", "<=")]),
+    DC([pred2("a", "="), pred2("b", "!=")]),
+    DC([predc("a", "=", 1)]),
+    DD({"a": ("<=", 1.0)}, {"c": (">", 0.0)}),
+    MD({"a": 1.0}, ["c"]),
+    NED({"b": 1.0}, {"c": 0.5}),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_relations(), st.integers(min_value=0, max_value=300))
+def test_budget_partial_report_is_a_prefix(relation, k):
+    """Under ``max_pairs=k`` the report holds a prefix of the rules in
+    rule order, each exactly as in the full run and the oracle, and is
+    flagged partial exactly when a rule was cut."""
+    detector = Detector(BUDGET_RULES)
+    full = detector.detect(relation)
+    with governed(Budget(max_pairs=k)):
+        partial = detector.detect(relation)
+    labels = [rule.label() for rule in BUDGET_RULES]
+    done = len(partial.per_rule)
+    assert set(partial.per_rule) == set(labels[:done])
+    assert partial.complete == (done == len(BUDGET_RULES))
+    assert (partial.exhausted == "") == partial.complete
+    for rule in BUDGET_RULES[:done]:
+        got = partial.per_rule[rule.label()]
+        assert list(got) == list(full.per_rule[rule.label()])
+        assert oracle.comparable(rule, got) == oracle.comparable(
+            rule, oracle.violations(rule, relation)
+        )
+
+
+# -- repro check end to end ------------------------------------------------
+
+HOTEL_RULES = os.path.join(
+    os.path.dirname(__file__), os.pardir, "examples", "hotel_rules.json"
+)
+
+
+def _hotel_csv(path, seed, noise):
+    """Hotels whose address fixes the city and whose name fixes a price
+    band; with ``noise`` some cities are misspelt or blank and some
+    prices leave the band or go negative."""
+    import random
+
+    rng = random.Random(seed)
+    city = {"1 Main St": "Boston", "2 Oak Ave": "Austin",
+            "3 Pine Rd": "Denver", "4 Elm St": "Boston"}
+    base = {"Hilton": 100, "Hyatt": 300, "Marriott": 2000}
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["name", "address", "city", "price"])
+        for __ in range(30):
+            address = rng.choice(sorted(city))
+            name = rng.choice(sorted(base))
+            town, price = city[address], base[name] + rng.randint(0, 400)
+            if rng.random() < noise:
+                town = rng.choice(["Bostn", "Austn", "NYC", ""])
+            if rng.random() < noise:
+                price = rng.choice([-5, price + 900, ""])
+            writer.writerow([name, address, town, price])
+
+
+@pytest.mark.parametrize("seed,noise", [(1, 0.0), (2, 0.0), (3, 0.2),
+                                        (4, 0.2), (5, 0.5)])
+def test_check_cli_matches_oracle(tmp_path, capsys, seed, noise):
+    path = tmp_path / "hotels.csv"
+    _hotel_csv(path, seed, noise)
+    code = main(["check", str(path), "--rules", HOTEL_RULES])
+    status = [
+        line for line in capsys.readouterr().out.splitlines()
+        if not line.startswith("  ")
+    ]
+    relation = oracle.load_relation(path)
+    rules = load_rules(HOTEL_RULES)
+    want = []
+    for rule in rules:
+        n = len(oracle.violations(rule, relation))
+        want.append(f"[FAIL] {rule}: {n} violations" if n else f"[ok]   {rule}")
+    assert status == want
+    assert code == (1 if any(w.startswith("[FAIL]") for w in want) else 0)

@@ -1,14 +1,15 @@
-"""Property tests: compiled plan kernels must agree with the naive scan.
+"""Property tests: compiled plan kernels must agree with the pair scan.
 
 Every notation with a pair plan is driven over random relations —
 mixed ``None``/NaN/bool/int/float/str cells, the same hostile pool as
 ``test_encoding_parity`` — and the violations produced by the pruned
-kernels (``plan_mode("plan")``) must be *identical*, in order, to the
-reference quadratic scan (``plan_mode("naive")``): same pairs, same
-reasons.  ``holds()``, the kernel-level ``restrict``/``first_only``
-modes and the guard-plan measures (``MD.matches``,
-``NED.support_and_confidence``, ``CD.confidence``, ``PAC.pair_counts``)
-are covered as well.
+kernels must be *identical*, in order, to the reference quadratic scan
+of :mod:`tests.oracle`: same pairs, same reasons.  FDs, which report
+per equal-``X`` group with a group-level reason, must produce the same
+violating pairs.  ``holds()``, the kernel-level
+``restrict``/``first_only`` modes and the guard-plan measures
+(``MD.matches``, ``NED.support_and_confidence``, ``CD.confidence``,
+``PAC.pair_counts``) are covered as well.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from repro.core.categorical.fd import FD
 from repro.core.numerical.dc import DC, pred2, predc
 from repro.core.numerical.od import OD
 from repro.core.numerical.ofd import OFD
-from repro.plan import pairwise_violations, plan_mode
+from repro.plan import pairwise_violations
 from repro.relation import Attribute, AttributeType, Relation, Schema
+from tests import oracle
 
 # A single shared NaN object: dict-key semantics (identity shortcut)
-# make repeated occurrences group together; both paths must agree.
+# make repeated occurrences group together; kernels and oracle must agree.
 NAN = float("nan")
 
 MIXED = st.sampled_from(
@@ -103,44 +105,38 @@ def guard_measures():
     ]
 
 
-def snapshot(dep, relation):
+def snapshot(violations):
     """Violations as a comparable, order-preserving list."""
-    return [(v.tuples, v.reason) for v in dep.violations(relation)]
+    return [(v.tuples, v.reason) for v in violations]
 
 
 @given(relations())
 @settings(max_examples=60, deadline=None)
 def test_violations_parity(relation):
     for dep in make_dependencies():
-        with plan_mode("naive"):
-            expected = snapshot(dep, relation)
-        with plan_mode("plan"):
-            got = snapshot(dep, relation)
-        assert got == expected, f"plan/naive divergence for {dep.label()}"
+        got = oracle.comparable(dep, dep.violations(relation))
+        expected = oracle.comparable(dep, oracle.violations(dep, relation))
+        assert got == expected, f"kernel/oracle divergence for {dep.label()}"
     # Guard-plan pruning never changes a match/support/confidence.
     for name, measure in guard_measures():
-        with plan_mode("naive"):
-            expected = measure(relation)
-        with plan_mode("plan"):
-            got = measure(relation)
-        assert got == expected, f"guard measure divergence for {name}"
+        assert measure(relation) == oracle.guard_measure(measure, relation), (
+            f"guard measure divergence for {name}"
+        )
 
 
 @given(relations())
 @settings(max_examples=40, deadline=None)
 def test_holds_parity(relation):
     for dep in make_dependencies():
-        with plan_mode("naive"):
-            expected = dep.holds(relation)
-        with plan_mode("plan"):
-            got = dep.holds(relation)
-        assert got == expected, f"holds() divergence for {dep.label()}"
+        assert dep.holds(relation) == oracle.holds(dep, relation), (
+            f"holds() divergence for {dep.label()}"
+        )
 
 
 @given(relations(), st.sets(st.integers(min_value=0, max_value=15)))
 @settings(max_examples=40, deadline=None)
 def test_restrict_parity(relation, restrict):
-    """Kernel ``restrict`` equals the naive scan filtered to touched rows.
+    """Kernel ``restrict`` equals the oracle scan filtered to touched rows.
 
     This is the contract ``PairProbeChecker`` relies on when it re-probes
     only pairs involving a changed row.
@@ -152,19 +148,8 @@ def test_restrict_parity(relation, restrict):
         if hasattr(type(d), "pair_violation") and not isinstance(d, PAC)
     ]
     for dep in pairwise:
-        with plan_mode("naive"):
-            expected = [
-                ((i, j), reason)
-                for i, j in relation.tuple_pairs()
-                if (i in restrict or j in restrict)
-                and (reason := dep.pair_violation(relation, i, j))
-                is not None
-            ]
-        with plan_mode("plan"):
-            got = [
-                (v.tuples, v.reason)
-                for v in pairwise_violations(dep, relation, restrict=restrict)
-            ]
+        expected = snapshot(oracle.pair_scan(dep, relation, restrict))
+        got = snapshot(pairwise_violations(dep, relation, restrict=restrict))
         assert got == expected, f"restrict divergence for {dep.label()}"
 
 
@@ -177,13 +162,7 @@ def test_first_only_matches_existence(relation):
         if hasattr(type(d), "pair_violation") and not isinstance(d, PAC)
     ]
     for dep in pairwise:
-        with plan_mode("naive"):
-            any_naive = any(
-                dep.pair_violation(relation, i, j) is not None
-                for i, j in relation.tuple_pairs()
-            )
-        with plan_mode("plan"):
-            first = pairwise_violations(dep, relation, first_only=True)
-        assert bool(first) == any_naive, (
+        first = pairwise_violations(dep, relation, first_only=True)
+        assert bool(first) == bool(oracle.pair_scan(dep, relation)), (
             f"first_only divergence for {dep.label()}"
         )

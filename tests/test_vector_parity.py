@@ -1,15 +1,16 @@
 """Property tests: the vectorized backend must agree with everything.
 
-``test_plan_parity`` pins scalar plan kernels to the naive scan; this
-suite adds the third path — the columnar kernels of
-``repro.plan.kernels_vec`` under a forced ``kernel_backend("vector")``
-— and drives all three to identical violation lists over the same
+``test_plan_parity`` pins the plan kernels to the pair scan of
+:mod:`tests.oracle`; this suite forces each backend in turn — the
+scalar kernels under ``kernel_backend("scalar")`` and the columnar
+kernels of ``repro.plan.kernels_vec`` under ``kernel_backend("vector")``
+— and drives both to the oracle's violation lists over the same
 hostile value pool (``None``/NaN/bool/int/float/str), plus the edge
 regimes the batch code paths are most likely to get wrong: all-NaN and
 all-``None`` columns, empty and single-row relations, ``restrict=``
 and ``first_only=``.  The guard-plan measures (``MD.matches``,
 ``NED.support_and_confidence``, ``CD.confidence``,
-``PAC.pair_counts``) get the same three-way treatment.
+``PAC.pair_counts``) get the same treatment.
 Non-vectorizable plans (opaque predicates, string order columns, text
 metrics) must *fall back* to the scalar kernels, which is asserted
 through the backend-aware counters.
@@ -35,12 +36,12 @@ from repro.plan import (
     kernel_backend,
     pairwise_violations,
     plan_for,
-    plan_mode,
 )
 from repro.relation import Attribute, AttributeType, Relation, Schema
+from tests import oracle
 
 # A single shared NaN object: dict-key semantics (identity shortcut)
-# make repeated occurrences group together; all paths must agree.
+# make repeated occurrences group together; backends and oracle must agree.
 NAN = float("nan")
 
 MIXED = st.sampled_from(
@@ -91,13 +92,12 @@ def snapshot(dep, relation):
 
 
 def three_way(dep, relation):
-    """(naive, scalar-plan, vectorized-plan) snapshots."""
-    with plan_mode("naive"):
-        naive = snapshot(dep, relation)
-    with kernel_backend("scalar"), plan_mode("plan"):
-        scalar = snapshot(dep, relation)
-    with kernel_backend("vector"), plan_mode("plan"):
-        vector = snapshot(dep, relation)
+    """(oracle, scalar-plan, vectorized-plan) comparable violation lists."""
+    naive = oracle.comparable(dep, oracle.violations(dep, relation))
+    with kernel_backend("scalar"):
+        scalar = oracle.comparable(dep, dep.violations(relation))
+    with kernel_backend("vector"):
+        vector = oracle.comparable(dep, dep.violations(relation))
     return naive, scalar, vector
 
 
@@ -127,11 +127,10 @@ def assert_three_way_parity(relation):
         assert scalar == naive, f"scalar divergence for {dep.label()}"
         assert vector == naive, f"vector divergence for {dep.label()}"
     for name, measure in guard_measures():
-        with plan_mode("naive"):
-            naive = measure(relation)
-        with kernel_backend("scalar"), plan_mode("plan"):
+        naive = oracle.guard_measure(measure, relation)
+        with kernel_backend("scalar"):
             scalar = measure(relation)
-        with kernel_backend("vector"), plan_mode("plan"):
+        with kernel_backend("vector"):
             vector = measure(relation)
         assert scalar == naive, f"scalar divergence for {name}"
         assert vector == naive, f"vector divergence for {name}"
@@ -196,15 +195,11 @@ def test_restrict_parity_vectorized(relation, restrict):
         if hasattr(type(d), "pair_violation") and not isinstance(d, PAC)
     ]
     for dep in pairwise:
-        with plan_mode("naive"):
-            expected = [
-                ((i, j), reason)
-                for i, j in relation.tuple_pairs()
-                if (i in restrict or j in restrict)
-                and (reason := dep.pair_violation(relation, i, j))
-                is not None
-            ]
-        with kernel_backend("vector"), plan_mode("plan"):
+        expected = [
+            (v.tuples, v.reason)
+            for v in oracle.pair_scan(dep, relation, restrict)
+        ]
+        with kernel_backend("vector"):
             got = [
                 (v.tuples, v.reason)
                 for v in pairwise_violations(dep, relation, restrict=restrict)
@@ -221,14 +216,9 @@ def test_first_only_matches_existence_vectorized(relation):
         if hasattr(type(d), "pair_violation") and not isinstance(d, PAC)
     ]
     for dep in pairwise:
-        with plan_mode("naive"):
-            any_naive = any(
-                dep.pair_violation(relation, i, j) is not None
-                for i, j in relation.tuple_pairs()
-            )
-        with kernel_backend("vector"), plan_mode("plan"):
+        with kernel_backend("vector"):
             first = pairwise_violations(dep, relation, first_only=True)
-        assert bool(first) == any_naive, (
+        assert bool(first) == bool(oracle.pair_scan(dep, relation)), (
             f"first_only divergence for {dep.label()}"
         )
 
@@ -259,9 +249,8 @@ def test_static_fallback_counter_asserted():
     for dep in deps:
         assert not plan_for(dep).vector_eligible, dep.label()
         COUNTERS.reset()
-        with plan_mode("naive"):
-            expected = snapshot(dep, relation)
-        with kernel_backend("vector"), plan_mode("plan"):
+        expected = oracle.comparable(dep, oracle.violations(dep, relation))
+        with kernel_backend("vector"):
             got = snapshot(dep, relation)
         assert got == expected, dep.label()
         assert COUNTERS.by_strategy, dep.label()
@@ -283,9 +272,8 @@ def test_dynamic_fallback_string_order_columns():
     dep = OD([("A0", "<=")], [("A1", "<=")])
     assert plan_for(dep).vector_eligible
     COUNTERS.reset()
-    with plan_mode("naive"):
-        expected = snapshot(dep, relation)
-    with kernel_backend("vector"), plan_mode("plan"):
+    expected = oracle.comparable(dep, oracle.violations(dep, relation))
+    with kernel_backend("vector"):
         got = snapshot(dep, relation)
     assert got == expected
     assert not any(s.startswith("vec-") for s in COUNTERS.by_strategy)
@@ -298,10 +286,9 @@ def test_vectorized_counters_recorded():
     relation = _rows_numeric(32)
     dep = MFD(["A0"], ["A1"], 0.5)
     COUNTERS.reset()
-    with kernel_backend("vector"), plan_mode("plan"):
+    with kernel_backend("vector"):
         got = snapshot(dep, relation)
-    with plan_mode("naive"):
-        assert got == snapshot(dep, relation)
+    assert got == oracle.comparable(dep, oracle.violations(dep, relation))
     assert COUNTERS.by_strategy.get("vec-group")
     assert COUNTERS.chunks > 0
     assert COUNTERS.candidates_by_strategy.get("vec-group", 0) > 0
@@ -317,7 +304,7 @@ def test_pruned_fraction_zero_candidate_guard():
         Schema([Attribute("A0", AttributeType.NUMERICAL)]), []
     )
     dep = FD(["A0"], ["A0"])
-    with kernel_backend("vector"), plan_mode("plan"):
+    with kernel_backend("vector"):
         assert snapshot(dep, relation) == []
     assert COUNTERS.pruned_fraction() == 0.0
 
